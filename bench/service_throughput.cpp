@@ -45,6 +45,7 @@
 
 #include "bench_common.hpp"
 #include "service/service.hpp"
+#include "sim/isa.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
 #include "util/json.hpp"
@@ -58,6 +59,9 @@ using namespace vlsa;
 
 constexpr int kWidth = 64;
 constexpr int kProducers = 4;
+/// max_batch of the fixed-size configs: the scalar tier's lane count,
+/// which every ISA evaluates on the same 64-lane kernel.
+const int kScalarLanes = sim::isa_lanes(sim::Isa::Scalar);
 
 service::ServiceConfig base_config(int workers, int max_batch,
                                    int width = kWidth) {
@@ -160,7 +164,7 @@ struct ScalingPoint {
 // divides by now_cycles(), the max over per-shard virtual clocks
 // (makespan): N balanced shards retire N batches per makespan cycle.
 ScalingPoint measure_scaling(int shards, long long requests, int width) {
-  auto config = base_config(/*workers=*/shards, sim::kBatchLanes, width);
+  auto config = base_config(/*workers=*/shards, kScalarLanes, width);
   config.shards = shards;
   config.route = service::RoutePolicy::RoundRobin;
   config.record_wall_time = false;
@@ -338,7 +342,7 @@ int main(int argc, char** argv) {
   json.key("batching").begin_array();
   double rate_batch1_at8 = 0.0, rate_batch64_at8 = 0.0;
   for (int workers : {1, 2, 4, 8}) {
-    for (int max_batch : {1, sim::kBatchLanes}) {
+    for (int max_batch : {1, kScalarLanes}) {
       // The batch-1 scheduler pays a full queue transaction and a full
       // sliced evaluation per request — give it a smaller request count
       // so the sweep stays quick.
@@ -470,7 +474,7 @@ int main(int argc, char** argv) {
   for (auto distribution :
        {workloads::Distribution::Uniform, workloads::Distribution::Correlated,
         workloads::Distribution::Complementary}) {
-    auto config = base_config(/*workers=*/4, sim::kBatchLanes);
+    auto config = base_config(/*workers=*/4, kScalarLanes);
     config.queue_capacity = 8192;
     config.overflow = service::OverflowPolicy::Reject;
     service::AdderService service(config);
@@ -538,7 +542,7 @@ int main(int argc, char** argv) {
   json.key("burstiness").begin_array();
   for (auto arrival : {workloads::ArrivalProcess::Poisson,
                        workloads::ArrivalProcess::Bursty}) {
-    auto config = base_config(/*workers=*/2, sim::kBatchLanes);
+    auto config = base_config(/*workers=*/2, kScalarLanes);
     config.queue_capacity = 512;
     config.overflow = service::OverflowPolicy::Reject;
     service::AdderService service(config);
@@ -575,16 +579,14 @@ int main(int argc, char** argv) {
   // of the disabled gate (one relaxed load per instrumentation site),
   // the second the cost of a live session at 1% detail sampling.  The
   // observability acceptance bar is < 10% regression for the latter.
-  const auto idle = measure_throughput(/*workers=*/4, sim::kBatchLanes,
-                                       480'000);
+  const auto idle = measure_throughput(/*workers=*/4, kScalarLanes, 480'000);
   double sampled_rps = 0.0;
   {
     trace::TraceConfig trace_config;
     trace_config.sample_rate = 0.01;
     trace_config.ring_capacity = std::size_t{1} << 12;
     trace::TraceSession session(trace_config);
-    sampled_rps = measure_throughput(/*workers=*/4, sim::kBatchLanes,
-                                     480'000)
+    sampled_rps = measure_throughput(/*workers=*/4, kScalarLanes, 480'000)
                       .requests_per_sec;
   }
   const double overhead = 1.0 - sampled_rps / idle.requests_per_sec;

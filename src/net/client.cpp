@@ -104,15 +104,10 @@ std::uint64_t Client::send(const util::BitVec& a, const util::BitVec& b,
   // bit back for the client-recv span (docs/observability.md).
   const bool sampled = trace::enabled() && trace::sample();
   const std::uint64_t t0 = sampled ? trace::now_ns() : 0;
-  if (!corked_) sendbuf_.clear();
   encode_request(id, window, a, b, sendbuf_,
                  sampled ? kFlagTraceSampled : std::uint8_t{0});
   ++outstanding_;
-  if (corked_) {
-    if (sendbuf_.size() >= kCorkFlushBytes) flush();
-  } else {
-    write_all(fd_, sendbuf_.data(), sendbuf_.size());
-  }
+  if (!corked_ || sendbuf_.size() >= kCorkFlushBytes) flush();
   if (sampled) {
     trace::EventArgs args;
     args.req = id;
@@ -128,7 +123,7 @@ void Client::cork(bool on) {
 }
 
 void Client::flush() {
-  if (fd_ < 0 || sendbuf_.empty() || !corked_) return;
+  if (fd_ < 0 || sendbuf_.empty()) return;
   write_all(fd_, sendbuf_.data(), sendbuf_.size());
   sendbuf_.clear();
 }

@@ -7,12 +7,14 @@
 //     response.  Other responses arriving first (the server completes
 //     in service order, not submission order — a recovery-lane detour
 //     reorders) are stashed and handed out by later recv()/call()s.
-//   * Pipelined: `send(a, b)` enqueues-and-writes immediately and
-//     returns the request id; `recv()` blocks for the next response in
-//     arrival order.  Keeping a bounded number of requests outstanding
+//   * Pipelined: `send(a, b)` frames one request, writes it (at once,
+//     or at the next flush point when corked — see cork()) and returns
+//     the request id; `recv()` blocks for the next response in arrival
+//     order.  Keeping a bounded number of requests outstanding
 //     (workloads/load_gen.cpp uses this) overlaps client think-time,
-//     network, and server batching — the same motivation as the
-//     service's submit_many.
+//     network, and server batching.  In-process producers get the same
+//     overlap from AdderService::submit_many, one queue transaction
+//     per chunk.
 //
 // The client shares the server's FrameDecoder, so it applies the same
 // strict validation to everything the server sends back; a protocol
@@ -74,7 +76,8 @@ class Client {
   /// saturation run the syscall rate is the bottleneck).
   void cork(bool on);
 
-  /// Write out any corked frames now.  No-op when empty or uncorked.
+  /// Write out any buffered frames now.  No-op when empty, which an
+  /// uncorked client always is between calls.
   void flush();
 
   /// Next response in arrival order (stashed responses first).  Blocks.
@@ -108,8 +111,8 @@ class Client {
   std::size_t outstanding_ = 0;
   bool corked_ = false;
   FrameDecoder decoder_;
-  std::vector<std::uint8_t> sendbuf_;  ///< per-send scratch; corked
-                                       ///< frames accumulate here
+  std::vector<std::uint8_t> sendbuf_;  ///< frames not yet written;
+                                       ///< cleared by every write
   std::vector<std::uint8_t> readbuf_;  ///< scratch, reused per read
   std::unordered_map<std::uint64_t, ResponseFrame> stashed_;
 };

@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstddef>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "util/mutex.hpp"
@@ -87,16 +88,17 @@ class BoundedQueue {
     return true;
   }
 
-  /// Blocking bulk push: moves every element of `items` in, waiting for
-  /// space as needed.  One lock round-trip and at most one wakeup per
-  /// *chunk* of freed capacity instead of per item — this is what lets
-  /// producers keep 64-deep batches ahead of the dispatchers.  Returns
-  /// the number of items pushed, which is items.size() unless the queue
-  /// is (or becomes) closed mid-way.
-  std::size_t push_many_block(std::vector<T>& items) {
+  /// Blocking bulk push: moves the elements of `items` in order,
+  /// waiting for space as needed.  One lock round-trip and at most one
+  /// wakeup per *chunk* of freed capacity instead of per item — this is
+  /// what lets producers keep 64-deep batches ahead of the dispatchers.
+  /// Returns the number of items pushed, which is items.size() unless
+  /// the queue is (or becomes) closed mid-way; the rest stay untouched.
+  std::size_t push_many_block(std::span<T> items) {
     std::size_t pushed = 0;
     while (pushed < items.size()) {
       bool wake = false;
+      const std::size_t before = pushed;
       {
         typename Sync::UniqueLock lock(mutex_);
         ++waiting_producers_;
@@ -109,8 +111,15 @@ class BoundedQueue {
         }
         wake = waiting_consumers_ > 0;
       }
-      // More than one consumer can make progress on a multi-item push.
-      if (wake) not_empty_.notify_all();
+      // More than one consumer can make progress on a multi-item push;
+      // a single item wakes one, exactly like push_block.
+      if (wake) {
+        if (pushed - before > 1) {
+          not_empty_.notify_all();
+        } else {
+          not_empty_.notify_one();
+        }
+      }
     }
     return pushed;
   }

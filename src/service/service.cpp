@@ -183,217 +183,168 @@ std::size_t AdderService::route_of(const BitVec& a, const BitVec& b) const {
   return static_cast<std::size_t>(h % n_shards);
 }
 
-std::size_t AdderService::pick_shard(const BitVec& a, const BitVec& b) {
+template <typename OnMiss>
+std::size_t AdderService::admit(std::span<Request> requests, Admission mode,
+                                OnMiss&& on_miss) {
+  if (closed_.load(std::memory_order_acquire)) {
+    throw std::runtime_error("AdderService: submit after close");
+  }
+  for (const Request& request : requests) {
+    if (request.a.width() != config_.pipeline.width ||
+        request.b.width() != config_.pipeline.width) {
+      throw std::invalid_argument("AdderService: operand width mismatch");
+    }
+  }
+  const std::size_t n = requests.size();
   const std::size_t n_shards = shards_.size();
-  if (n_shards == 1) return 0;
-  if (config_.route == RoutePolicy::RoundRobin) {
-    return static_cast<std::size_t>(
+  // Routing granularity: Hash routes each request by its operands —
+  // deterministic, so a Block-policy retry of a parked network frame
+  // lands on the same still-full shard and backpressure stays
+  // per-shard.  RoundRobin takes ONE ticket per call: a submit_many
+  // chunk is its unit of work, and keeping it whole keeps the
+  // one-bulk-transaction batching win.
+  const bool hash = n_shards > 1 && config_.route == RoutePolicy::Hash;
+  std::size_t ticket = 0;
+  if (n_shards > 1 && !hash) {
+    ticket = static_cast<std::size_t>(
         rr_next_.fetch_add(1, std::memory_order_relaxed) % n_shards);
   }
-  return route_of(a, b);
+  // Blocking on a full queue in pump mode would deadlock (nothing
+  // drains until the caller pumps), so pump mode never waits.  The Try
+  // path exists for event loops, which translate a miss into their own
+  // backpressure (socket read stall or REJECTED frame); only the Reject
+  // policy counts that as a service rejection.
+  const bool wait = mode == Admission::Wait &&
+                    config_.overflow == OverflowPolicy::Block &&
+                    config_.workers > 0;
+  const bool count_miss =
+      mode == Admission::Wait || config_.overflow == OverflowPolicy::Reject;
+  const auto now = config_.record_wall_time
+                       ? std::chrono::steady_clock::now()
+                       : std::chrono::steady_clock::time_point{};
+  inflight_.fetch_add(static_cast<long long>(n), std::memory_order_acq_rel);
+  std::size_t admitted = 0;
+  bool closed = false;
+  // Push one shard's share; `origin` maps share positions back to
+  // indices in `requests` (nullptr: the share is `requests` itself).
+  const auto push_share = [&](std::size_t shard_index,
+                              std::span<Request> share,
+                              const std::size_t* origin) {
+    Shard& shard = *shards_[shard_index];
+    // One arrival stamp per share: requests of one chunk landing on one
+    // shard share an arrival cycle, which is what lets dispatch
+    // aggregate their latency records into runs.
+    const long long arrival = shard.vclock.load(std::memory_order_relaxed);
+    for (Request& request : share) {
+      request.arrival_cycle = arrival;
+      request.arrival_time = now;
+    }
+    std::size_t taken = 0;
+    if (wait) {
+      taken = shard.queue.push_many_block(share);
+    } else {
+      // Leading requests are accepted until the queue fills.
+      while (taken < share.size() &&
+             shard.queue.try_push(std::move(share[taken]))) {
+        ++taken;
+      }
+    }
+    admitted += taken;
+    if (taken > 0) {
+      if (shard.submitted != nullptr) {
+        shard.submitted->increment(static_cast<long long>(taken));
+      }
+      if (trace::enabled() && trace::sample()) {
+        trace::EventArgs args;
+        args.k = config_.pipeline.window;
+        if (n_shards > 1) args.shard = static_cast<int>(shard_index);
+        trace::emit_instant(trace::EventName::kSubmit, args);
+      }
+    }
+    if (taken == share.size()) return;
+    if (shard.queue.closed()) {
+      closed = true;
+    } else if (count_miss && shard.rejected != nullptr) {
+      shard.rejected->increment(static_cast<long long>(share.size() - taken));
+    }
+    for (std::size_t j = taken; j < share.size(); ++j) {
+      on_miss(origin != nullptr ? origin[j] : j, share[j]);
+    }
+  };
+  if (!hash || n == 1) {
+    push_share(hash ? route_of(requests[0].a, requests[0].b) : ticket,
+               requests, nullptr);
+  } else {
+    // A Hash-routed chunk: regroup it by shard, one share per shard.
+    std::vector<std::size_t> shard_of(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      shard_of[i] = route_of(requests[i].a, requests[i].b);
+    }
+    std::vector<Request> share;
+    std::vector<std::size_t> origin;
+    for (std::size_t s = 0; s < n_shards; ++s) {
+      share.clear();
+      origin.clear();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (shard_of[i] != s) continue;
+        share.push_back(std::move(requests[i]));
+        origin.push_back(i);
+      }
+      if (!share.empty()) push_share(s, share, origin.data());
+    }
+  }
+  if (admitted > 0) submitted_.increment(static_cast<long long>(admitted));
+  const std::size_t missed = n - admitted;
+  if (missed > 0) {
+    inflight_.fetch_sub(static_cast<long long>(missed),
+                        std::memory_order_acq_rel);
+    if (closed) throw std::runtime_error("AdderService: submit after close");
+    if (count_miss) rejected_.increment(static_cast<long long>(missed));
+  }
+  return admitted;
 }
 
 std::optional<std::future<Completion>> AdderService::submit(BitVec a,
                                                             BitVec b) {
-  if (closed_.load(std::memory_order_acquire)) {
-    throw std::runtime_error("AdderService: submit after close");
-  }
-  if (a.width() != config_.pipeline.width ||
-      b.width() != config_.pipeline.width) {
-    throw std::invalid_argument("AdderService: operand width mismatch");
-  }
-  const std::size_t shard_index = pick_shard(a, b);
-  Shard& shard = *shards_[shard_index];
   Request request;
   request.a = std::move(a);
   request.b = std::move(b);
-  request.arrival_cycle = shard.vclock.load(std::memory_order_relaxed);
-  if (config_.record_wall_time) {
-    request.arrival_time = std::chrono::steady_clock::now();
-  }
   auto future = request.promise.emplace().get_future();
-
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  // Blocking on a full queue in pump mode would deadlock (nothing
-  // drains until the caller pumps), so pump mode always rejects.
-  const bool block = config_.overflow == OverflowPolicy::Block &&
-                     config_.workers > 0;
-  const bool accepted = block ? shard.queue.push_block(std::move(request))
-                              : shard.queue.try_push(std::move(request));
-  if (!accepted) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    if (shard.queue.closed()) {
-      throw std::runtime_error("AdderService: submit after close");
-    }
-    rejected_.increment();
-    if (shard.rejected != nullptr) shard.rejected->increment();
+  if (admit({&request, 1}, Admission::Wait, [](std::size_t, Request&) {}) ==
+      0) {
     return std::nullopt;
-  }
-  submitted_.increment();
-  if (shard.submitted != nullptr) shard.submitted->increment();
-  if (trace::enabled() && trace::sample()) {
-    trace::EventArgs args;
-    args.k = config_.pipeline.window;
-    if (config_.shards > 1) args.shard = static_cast<int>(shard_index);
-    trace::emit_instant(trace::EventName::kSubmit, args);
   }
   return future;
 }
 
 bool AdderService::try_submit_callback(BitVec&& a, BitVec&& b,
                                        CompletionCallback callback) {
-  if (closed_.load(std::memory_order_acquire)) {
-    throw std::runtime_error("AdderService: submit after close");
-  }
-  if (a.width() != config_.pipeline.width ||
-      b.width() != config_.pipeline.width) {
-    throw std::invalid_argument("AdderService: operand width mismatch");
-  }
-  // Hash routing keeps net-server backpressure per-shard: a retry of
-  // the same parked frame recomputes the same shard, so a full shard
-  // stalls exactly the connections feeding it and no others.
-  const std::size_t shard_index = pick_shard(a, b);
-  Shard& shard = *shards_[shard_index];
   Request request;
   request.a = std::move(a);
   request.b = std::move(b);
   request.callback = std::move(callback);
-  request.arrival_cycle = shard.vclock.load(std::memory_order_relaxed);
-  if (config_.record_wall_time) {
-    request.arrival_time = std::chrono::steady_clock::now();
-  }
-  inflight_.fetch_add(1, std::memory_order_acq_rel);
-  // Always try-semantics: this path exists for event loops, which must
-  // never park on a condition variable.  The caller translates a full
-  // queue into its own backpressure (socket read stall or REJECTED
-  // frame); only the Reject policy counts it as a service rejection.
-  if (!shard.queue.try_push(std::move(request))) {
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    // Not consumed on failure: hand the operands back so a Block-policy
-    // caller can park them for retry without having paid a defensive
-    // copy on every successful submit (the overwhelmingly common case).
-    a = std::move(request.a);
-    b = std::move(request.b);
-    if (shard.queue.closed()) {
-      throw std::runtime_error("AdderService: submit after close");
-    }
-    if (config_.overflow == OverflowPolicy::Reject) {
-      rejected_.increment();
-      if (shard.rejected != nullptr) shard.rejected->increment();
-    }
-    return false;
-  }
-  submitted_.increment();
-  if (shard.submitted != nullptr) shard.submitted->increment();
-  if (trace::enabled() && trace::sample()) {
-    trace::EventArgs args;
-    args.k = config_.pipeline.window;
-    if (config_.shards > 1) args.shard = static_cast<int>(shard_index);
-    trace::emit_instant(trace::EventName::kSubmit, args);
-  }
-  return true;
+  // Not consumed on a miss: hand the operands back so a Block-policy
+  // caller can park them for retry without having paid a defensive
+  // copy on every successful submit (the overwhelmingly common case).
+  return admit({&request, 1}, Admission::Try,
+               [&a, &b](std::size_t, Request& missed) {
+                 a = std::move(missed.a);
+                 b = std::move(missed.b);
+               }) == 1;
 }
 
 std::vector<std::optional<std::future<Completion>>>
 AdderService::submit_many(std::vector<std::pair<BitVec, BitVec>> ops) {
-  if (closed_.load(std::memory_order_acquire)) {
-    throw std::runtime_error("AdderService: submit after close");
-  }
-  const std::size_t n_shards = shards_.size();
-  // Routing granularity: RoundRobin takes ONE ticket for the whole
-  // chunk (the chunk is submit_many's unit of work — rotating chunks
-  // keeps the one-bulk-transaction batching win), Hash buckets request
-  // by request and pays one bulk push per non-empty bucket.
-  std::size_t chunk_shard = 0;
-  if (n_shards > 1 && config_.route == RoutePolicy::RoundRobin) {
-    chunk_shard = static_cast<std::size_t>(
-        rr_next_.fetch_add(1, std::memory_order_relaxed) % n_shards);
-  }
-  std::vector<std::vector<Request>> buckets(n_shards);
-  std::vector<std::vector<std::size_t>> origin(n_shards);
+  std::vector<Request> requests(ops.size());
   std::vector<std::optional<std::future<Completion>>> futures;
   futures.reserve(ops.size());
-  // Arrival stamps are read once per shard, not per request: requests
-  // of one chunk landing on one shard share an arrival cycle, which is
-  // what lets dispatch aggregate their latency records into runs.
-  std::vector<long long> arrival(n_shards, -1);
-  const auto now = config_.record_wall_time
-                       ? std::chrono::steady_clock::now()
-                       : std::chrono::steady_clock::time_point{};
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    auto& [a, b] = ops[i];
-    if (a.width() != config_.pipeline.width ||
-        b.width() != config_.pipeline.width) {
-      throw std::invalid_argument("AdderService: operand width mismatch");
-    }
-    const std::size_t shard_index =
-        (n_shards > 1 && config_.route == RoutePolicy::Hash)
-            ? route_of(a, b)
-            : chunk_shard;
-    if (arrival[shard_index] < 0) {
-      arrival[shard_index] =
-          shards_[shard_index]->vclock.load(std::memory_order_relaxed);
-    }
-    Request request;
-    request.a = std::move(a);
-    request.b = std::move(b);
-    request.arrival_cycle = arrival[shard_index];
-    request.arrival_time = now;
-    futures.push_back(request.promise.emplace().get_future());
-    origin[shard_index].push_back(i);
-    buckets[shard_index].push_back(std::move(request));
+    requests[i].a = std::move(ops[i].first);
+    requests[i].b = std::move(ops[i].second);
+    futures.emplace_back(requests[i].promise.emplace().get_future());
   }
-  inflight_.fetch_add(static_cast<long long>(ops.size()),
-                      std::memory_order_acq_rel);
-  const bool block = config_.overflow == OverflowPolicy::Block &&
-                     config_.workers > 0;
-  std::size_t accepted = 0;
-  bool any_closed = false;
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    if (buckets[s].empty()) continue;
-    Shard& shard = *shards_[s];
-    std::size_t taken = 0;
-    if (block) {
-      taken = shard.queue.push_many_block(buckets[s]);
-    } else {
-      // Reject policy (and pump mode, where blocking would deadlock):
-      // leading requests are accepted until the queue fills.
-      for (auto& request : buckets[s]) {
-        if (!shard.queue.try_push(std::move(request))) break;
-        ++taken;
-      }
-    }
-    accepted += taken;
-    if (shard.submitted != nullptr) {
-      shard.submitted->increment(static_cast<long long>(taken));
-    }
-    const std::size_t dropped_here = buckets[s].size() - taken;
-    if (dropped_here > 0) {
-      any_closed = any_closed || shard.queue.closed();
-      if (shard.rejected != nullptr) {
-        shard.rejected->increment(static_cast<long long>(dropped_here));
-      }
-      for (std::size_t j = taken; j < buckets[s].size(); ++j) {
-        futures[origin[s][j]].reset();
-      }
-    }
-  }
-  const auto dropped = static_cast<long long>(ops.size() - accepted);
-  if (dropped > 0) {
-    inflight_.fetch_sub(dropped, std::memory_order_acq_rel);
-    if (any_closed) {
-      throw std::runtime_error("AdderService: submit after close");
-    }
-    rejected_.increment(dropped);
-  }
-  submitted_.increment(static_cast<long long>(accepted));
-  // One submit instant per chunk (not per request): submit_many is the
-  // batched producer path, and the chunk is its unit of work.
-  if (accepted > 0 && trace::enabled() && trace::sample()) {
-    trace::EventArgs args;
-    args.k = config_.pipeline.window;
-    trace::emit_instant(trace::EventName::kSubmit, args);
-  }
+  admit(requests, Admission::Wait,
+        [&futures](std::size_t i, Request&) { futures[i].reset(); });
   return futures;
 }
 
@@ -540,9 +491,9 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   batch_occupancy_.record(batch.size());
 
   // One word-level un-transpose for the whole batch instead of a
-  // bit-at-a-time lane_value() per request; tiny batches (the batch-1
-  // baseline) extract their few lanes directly instead of paying for
-  // all 64.
+  // bit-at-a-time wide_lane_value() per request; tiny batches (the
+  // batch-1 baseline) extract their few lanes directly instead of
+  // paying for all 64.
   std::vector<BitVec> sums;
   if (batch.size() > 8) {
     sums = sim::wide_lane_values(scratch.sum_spec, width, lanes);

@@ -57,6 +57,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -314,11 +315,25 @@ class AdderService {
     telemetry::Gauge* queue_depth = nullptr;
   };
 
+  /// How admit() treats a full shard queue.  Wait (submit, submit_many)
+  /// waits for space under Block in worker mode and counts any other
+  /// miss as a rejection.  Try (try_submit_callback) never waits, and
+  /// its miss is a rejection only under Reject — under Block it is the
+  /// caller's stall.
+  enum class Admission { Wait, Try };
+  /// The one admission path behind every submit call.  It validates
+  /// the requests, routes them (Hash per request, one RoundRobin ticket
+  /// per call), stamps their arrival, pushes each shard's share in one
+  /// queue transaction, keeps the inflight / submitted / rejected
+  /// accounting (global and per-shard) and emits one `submit` trace
+  /// event per admitted share.  Each request it cannot take is handed
+  /// back intact as `on_miss(index_in_requests, request)`.  Returns the
+  /// number admitted.  Throws like submit().
+  template <typename OnMiss>
+  std::size_t admit(std::span<Request> requests, Admission mode,
+                    OnMiss&& on_miss);
   void worker_loop(std::size_t shard_index);
   void recovery_loop(Shard& shard);
-  /// Pick the shard for a submission (Hash mixes the operand low limbs;
-  /// RoundRobin takes a ticket from rr_next_).
-  std::size_t pick_shard(const BitVec& a, const BitVec& b);
   /// Evaluate one batch on `shard`'s engine; flagged lanes go to
   /// `recovery` (worker mode) or are recovered inline when
   /// `recovery == nullptr` (pump mode).  `stolen` marks a batch the

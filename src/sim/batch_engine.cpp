@@ -10,9 +10,8 @@ namespace vlsa::sim {
 
 // The evaluation recurrences live in wide_kernel.hpp, templated over a
 // LaneWord; this file instantiates the scalar (64-lane) tier and hosts
-// both public APIs.  The legacy 64-lane entry points below are exactly
-// the wide path with one word per bit (stride 1, group offset 0) — one
-// algorithm, every tier differentially tested against core::aca_*.
+// the public API — one algorithm, every tier differentially tested
+// against core::aca_*.
 
 namespace detail {
 
@@ -21,19 +20,6 @@ const Kernels* scalar_kernels() { return make_kernels<ScalarWord>(); }
 }  // namespace detail
 
 namespace {
-
-void check_batch(const SlicedBatch& ops, int k) {
-  if (ops.width < 1) {
-    throw std::invalid_argument("batch engine: empty operands");
-  }
-  if (static_cast<int>(ops.a.size()) != ops.width ||
-      static_cast<int>(ops.b.size()) != ops.width) {
-    throw std::invalid_argument("batch engine: slice/width mismatch");
-  }
-  if (k < 1) {
-    throw std::invalid_argument("batch engine: window must be >= 1");
-  }
-}
 
 void check_lanes(int lanes) {
   if (lanes < 64 || lanes > kMaxBatchLanes || lanes % 64 != 0) {
@@ -86,58 +72,6 @@ void wide_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
 }
 
 }  // namespace
-
-void batch_aca_add_into(const SlicedBatch& ops, int k,
-                        std::uint64_t carry_in, BatchResult& out) {
-  check_batch(ops, k);
-  const int n = ops.width;
-  out.width = n;
-  out.sum_spec.assign(static_cast<std::size_t>(n), 0);
-  out.sum_exact.assign(static_cast<std::size_t>(n), 0);
-  out.carry_spec.assign(static_cast<std::size_t>(n), 0);
-  const detail::EvalOut eo{out.sum_spec.data(),   out.sum_exact.data(),
-                           out.carry_spec.data(), &out.carry_out_spec,
-                           &out.carry_out_exact,  &out.flagged,
-                           &out.wrong};
-  detail::kernel_eval<detail::ScalarWord>(ops.a.data(), ops.b.data(), n,
-                                          /*stride=*/1, /*w0=*/0, k,
-                                          &carry_in, eo);
-}
-
-BatchResult batch_aca_add(const SlicedBatch& ops, int k,
-                          std::uint64_t carry_in) {
-  BatchResult out;
-  batch_aca_add_into(ops, k, carry_in, out);
-  return out;
-}
-
-BatchResult batch_aca_sub(const SlicedBatch& ops, int k) {
-  check_batch(ops, k);
-  // a - b = a + ~b + 1 per lane; every slice word is fully populated
-  // (64 lanes), so the lane-wise complement is a plain word complement.
-  SlicedBatch neg(ops.width);
-  neg.a = ops.a;
-  for (int i = 0; i < ops.width; ++i) neg.b[i] = ~ops.b[i];
-  return batch_aca_add(neg, k, /*carry_in=*/~std::uint64_t{0});
-}
-
-std::uint64_t batch_aca_flag(const SlicedBatch& ops, int k) {
-  check_batch(ops, k);
-  std::uint64_t flagged = 0;
-  detail::kernel_flag_only<detail::ScalarWord>(ops.a.data(), ops.b.data(),
-                                               ops.width, /*stride=*/1,
-                                               /*w0=*/0, k, &flagged);
-  return flagged;
-}
-
-std::array<int, kBatchLanes> batch_longest_runs(const SlicedBatch& ops) {
-  check_batch(ops, /*k=*/1);
-  std::array<int, kBatchLanes> runs{};
-  detail::kernel_longest_runs<detail::ScalarWord>(
-      ops.a.data(), ops.b.data(), ops.width, /*stride=*/1, /*w0=*/0,
-      runs.data());
-  return runs;
-}
 
 void wide_aca_add_into(const WideBatch& ops, int k,
                        const std::uint64_t* carry_in, WideResult& out,
@@ -197,50 +131,6 @@ std::vector<int> wide_longest_runs(const WideBatch& ops, Isa isa) {
   return runs;
 }
 
-namespace {
-
-/// In-place 64x64 bit-matrix transpose, LSB-first indexing: afterwards
-/// bit c of w[r] is what bit r of w[c] was.  384 word ops — the
-/// single-block (scalar) instantiation of the kernel the wide paths
-/// run 4/8 blocks at a time.
-void transpose64x64(std::uint64_t* w) {
-  detail::kernel_transpose64<detail::ScalarWord>(w);
-}
-
-}  // namespace
-
-SlicedBatch transpose_batch(
-    const std::vector<std::pair<util::BitVec, util::BitVec>>& pairs,
-    int width) {
-  if (static_cast<int>(pairs.size()) > kBatchLanes) {
-    throw std::invalid_argument("transpose_batch: more than 64 pairs");
-  }
-  for (const auto& [a, b] : pairs) {
-    if (a.width() != width || b.width() != width) {
-      throw std::invalid_argument("transpose_batch: operand width mismatch");
-    }
-  }
-  SlicedBatch batch(width);
-  const int limbs = (width + 63) / 64;
-  std::array<std::uint64_t, kBatchLanes> ta{}, tb{};
-  for (int limb = 0; limb < limbs; ++limb) {
-    ta.fill(0);
-    tb.fill(0);
-    for (int lane = 0; lane < static_cast<int>(pairs.size()); ++lane) {
-      ta[lane] = pairs[lane].first.limbs()[limb];
-      tb[lane] = pairs[lane].second.limbs()[limb];
-    }
-    transpose64x64(ta.data());
-    transpose64x64(tb.data());
-    const int hi = std::min(64, width - limb * 64);
-    for (int i = 0; i < hi; ++i) {
-      batch.a[limb * 64 + i] = ta[i];
-      batch.b[limb * 64 + i] = tb[i];
-    }
-  }
-  return batch;
-}
-
 WideBatch wide_transpose_batch(
     const std::vector<std::pair<util::BitVec, util::BitVec>>& pairs,
     int width, int lanes, Isa isa) {
@@ -294,21 +184,6 @@ WideBatch wide_transpose_batch(
   return batch;
 }
 
-util::BitVec lane_value(const std::vector<std::uint64_t>& sliced, int width,
-                        int lane) {
-  if (lane < 0 || lane >= kBatchLanes) {
-    throw std::invalid_argument("lane_value: lane out of range");
-  }
-  if (static_cast<int>(sliced.size()) < width) {
-    throw std::invalid_argument("lane_value: slice shorter than width");
-  }
-  util::BitVec v(width);
-  for (int i = 0; i < width; ++i) {
-    v.set_bit(i, (sliced[i] >> lane) & 1);
-  }
-  return v;
-}
-
 util::BitVec wide_lane_value(const std::vector<std::uint64_t>& sliced,
                              int width, int words, int lane) {
   if (words < 1 || lane < 0 || lane >= words * 64) {
@@ -325,26 +200,6 @@ util::BitVec wide_lane_value(const std::vector<std::uint64_t>& sliced,
     v.set_bit(i, (sliced[static_cast<std::size_t>(i) * words + w] >> bit) & 1);
   }
   return v;
-}
-
-std::vector<util::BitVec> lane_values(
-    const std::vector<std::uint64_t>& sliced, int width) {
-  if (static_cast<int>(sliced.size()) < width) {
-    throw std::invalid_argument("lane_values: slice shorter than width");
-  }
-  std::vector<util::BitVec> lanes(kBatchLanes, util::BitVec(width));
-  const int limbs = (width + 63) / 64;
-  std::array<std::uint64_t, kBatchLanes> t{};
-  for (int limb = 0; limb < limbs; ++limb) {
-    t.fill(0);
-    const int hi = std::min(64, width - limb * 64);
-    for (int i = 0; i < hi; ++i) t[i] = sliced[limb * 64 + i];
-    transpose64x64(t.data());
-    for (int lane = 0; lane < kBatchLanes; ++lane) {
-      lanes[static_cast<std::size_t>(lane)].limbs()[limb] = t[lane];
-    }
-  }
-  return lanes;
 }
 
 std::vector<util::BitVec> wide_lane_values(
@@ -387,11 +242,6 @@ std::vector<util::BitVec> wide_lane_values(
     }
   }
   return out;
-}
-
-void fill_uniform(util::Rng& rng, SlicedBatch& batch) {
-  for (auto& word : batch.a) word = rng.next_u64();
-  for (auto& word : batch.b) word = rng.next_u64();
 }
 
 void fill_uniform(util::Rng& rng, WideBatch& batch) {

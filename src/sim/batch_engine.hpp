@@ -1,27 +1,30 @@
 #pragma once
-// Bit-sliced (transposed) batch evaluator for the ACA — 64 independent
-// additions per machine word.
+// Bit-sliced (transposed) batch evaluator for the ACA — 64 to 512
+// independent additions per evaluation.
 //
 // The scalar model in core/aca.hpp walks one operand pair bit by bit;
 // Monte-Carlo studies built on it top out around 1e4-1e5 trials.  This
-// engine stores a batch of 64 operand pairs *transposed*: word i holds
-// bit i of all 64 lanes (lane j lives in bit j of every word).  All the
-// adder's signals — propagate/generate, the windowed speculative
-// carries, the exact carries, the ER flag, the mispredict indicator —
-// are then plain AND/OR/XOR recurrences over those words, evaluating
-// every lane simultaneously.  One batch costs O(n·k) word operations,
-// i.e. ~k operations per addition instead of a per-bit interpreted
-// loop, which is where the batch Monte-Carlo driver
+// engine stores a batch of operand pairs *transposed*: bit i of the
+// batch lives in the `lanes/64` consecutive words at offset
+// `i * (lanes/64)`, lane j in bit (j % 64) of word (j / 64) of each
+// group.  All the adder's signals — propagate/generate, the windowed
+// speculative carries, the exact carries, the ER flag, the mispredict
+// indicator — are then plain AND/OR/XOR recurrences over those words,
+// evaluating every lane simultaneously.  One batch costs O(n·k) word
+// operations per 64 lanes, i.e. ~k operations per addition instead of
+// a per-bit interpreted loop, which is where batch Monte-Carlo
 // (workloads/batch_monte_carlo.hpp) gets its two-orders-of-magnitude
-// throughput win.
+// throughput win.  Evaluation runs on the widest kernel the
+// requested ISA allows (see sim/isa.hpp): one AVX-512 step advances 512
+// lanes, AVX2 256, scalar 64, all bit-identical to each other.
 //
 // The engine is only a valid reproduction instrument because it is
 // bit-exactly equivalent to the scalar specification:
 // tests/test_batch_engine.cpp proves every output lane equal to
 // core::aca_add / aca_flag / aca_is_exact across widths, windows, the
-// carry-in path, and the subtraction path (exhaustively at width 8).
+// carry-in path, and the subtraction path (exhaustively at width 8),
+// and forces each kernel tier via VLSA_FORCE_ISA.
 
-#include <array>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -32,95 +35,6 @@
 #include "util/rng.hpp"
 
 namespace vlsa::sim {
-
-/// Lanes per batch — one per bit of the slice words.
-inline constexpr int kBatchLanes = 64;
-
-/// 64 operand pairs in transposed layout: `a[i]` / `b[i]` hold bit i of
-/// every lane, for i in [0, width).  Unused lanes are simply lanes whose
-/// bits are all zero (their results are valid too — they compute 0+0).
-struct SlicedBatch {
-  explicit SlicedBatch(int w = 0) : width(w), a(w, 0), b(w, 0) {}
-
-  int width = 0;
-  std::vector<std::uint64_t> a;
-  std::vector<std::uint64_t> b;
-};
-
-/// All outputs of one batched evaluation, transposed like the inputs.
-/// Mask members hold one bit per lane.
-struct BatchResult {
-  int width = 0;
-  std::vector<std::uint64_t> sum_spec;    ///< speculative (ACA) sums
-  std::vector<std::uint64_t> sum_exact;   ///< true sums (recovery output)
-  std::vector<std::uint64_t> carry_spec;  ///< windowed carry chain, bit i
-                                          ///< = carry out of position i
-  std::uint64_t carry_out_spec = 0;   ///< lane mask: speculative carry out
-  std::uint64_t carry_out_exact = 0;  ///< lane mask: exact carry out
-  std::uint64_t flagged = 0;  ///< lane mask: ER fired (chain >= k)
-  std::uint64_t wrong = 0;    ///< lane mask: speculative != exact
-};
-
-/// Evaluate ACA(width, k) plus the exact adder on all 64 lanes.
-/// `carry_in` is a lane mask (bit j = architectural carry into lane j),
-/// matching the scalar `aca_add(a, b, k, carry_in)` semantics per lane.
-BatchResult batch_aca_add(const SlicedBatch& ops, int k,
-                          std::uint64_t carry_in = 0);
-
-/// Same, reusing `out`'s buffers — the zero-allocation form the
-/// Monte-Carlo driver loops on.
-void batch_aca_add_into(const SlicedBatch& ops, int k,
-                        std::uint64_t carry_in, BatchResult& out);
-
-/// Lane-wise speculative subtraction a - b (two's complement:
-/// a + ~b + 1), matching scalar `aca_sub` per lane.
-BatchResult batch_aca_sub(const SlicedBatch& ops, int k);
-
-/// Just the ER lane mask: bit j set iff lane j has a propagate chain of
-/// length >= k (matches scalar `aca_flag`).
-std::uint64_t batch_aca_flag(const SlicedBatch& ops, int k);
-
-/// Per-lane longest propagate chain (matches scalar
-/// `longest_propagate_chain`) — the statistic behind Table 1.
-std::array<int, kBatchLanes> batch_longest_runs(const SlicedBatch& ops);
-
-/// Transpose up to 64 scalar operand pairs (all of `width`) into a
-/// batch; lanes beyond `pairs.size()` are zero.
-SlicedBatch transpose_batch(
-    const std::vector<std::pair<util::BitVec, util::BitVec>>& pairs,
-    int width);
-
-/// Read one lane back out of a transposed signal (inverse of the
-/// transpose for a single lane).
-util::BitVec lane_value(const std::vector<std::uint64_t>& sliced, int width,
-                        int lane);
-
-/// Read all 64 lanes back out of a transposed signal in one pass — a
-/// word-level un-transpose, ~64x cheaper than 64 lane_value() calls.
-/// Element j is lane j's value (unused lanes decode to 0).
-std::vector<util::BitVec> lane_values(
-    const std::vector<std::uint64_t>& sliced, int width);
-
-/// Fill a batch with i.i.d. uniform bits.  Drawing each slice word
-/// directly is distribution-identical to transposing 64 scalar
-/// `rng.next_bits(width)` draws (every bit of every lane is an
-/// independent fair coin either way) — this is the fast path the
-/// uniform Monte-Carlo driver uses.  It is *not* the same stream as the
-/// scalar draws, so scalar and batch runs agree in distribution, not
-/// trial-for-trial.
-void fill_uniform(util::Rng& rng, SlicedBatch& batch);
-
-// ---------------------------------------------------------------------------
-// Wide (SIMD-dispatched) batches — the 64-lane API above generalised to
-// any multiple of 64 lanes up to kMaxBatchLanes.  The layout is the
-// same transposition with a word stride: bit i of the batch lives in
-// the `lanes/64` consecutive words at offset `i * (lanes/64)`, lane j
-// in bit (j % 64) of word (j / 64) of each group.  Evaluation runs on
-// the widest kernel the requested ISA allows (see sim/isa.hpp): one
-// AVX-512 step advances 512 lanes, AVX2 256, scalar 64, all
-// bit-identical to each other and to the scalar core::aca_* model
-// (tests/test_batch_engine.cpp forces each tier via VLSA_FORCE_ISA).
-// ---------------------------------------------------------------------------
 
 /// Widest batch any kernel tier produces (AVX-512: 8 words x 64).
 inline constexpr int kMaxBatchLanes = 512;
@@ -228,16 +142,20 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
 [[nodiscard]] util::BitVec wide_lane_value(
     const std::vector<std::uint64_t>& sliced, int width, int words, int lane);
 
-/// Read all `lanes` lanes out of a wide-sliced signal in one pass
-/// (word-level un-transpose, like lane_values, SIMD-widened like
-/// wide_transpose_batch).
+/// Read all `lanes` lanes out of a wide-sliced signal in one pass — a
+/// word-level un-transpose, the inverse of wide_transpose_batch and
+/// far cheaper than `lanes` wide_lane_value() calls.
 [[nodiscard]] std::vector<util::BitVec> wide_lane_values(
     const std::vector<std::uint64_t>& sliced, int width, int lanes,
     Isa isa = active_isa());
 
-/// Fill a wide batch with i.i.d. uniform bits (same contract as the
-/// 64-lane fill_uniform: distribution-identical to scalar draws, not
-/// stream-identical).
+/// Fill a batch with i.i.d. uniform bits.  Drawing each slice word
+/// directly is distribution-identical to transposing `lanes` scalar
+/// `rng.next_bits(width)` draws (every bit of every lane is an
+/// independent fair coin either way) — this is the fast path of
+/// uniform Monte-Carlo runs.  It is *not* the same stream as the
+/// scalar draws, so scalar and batch runs agree in distribution, not
+/// trial-for-trial.
 void fill_uniform(util::Rng& rng, WideBatch& batch);
 
 }  // namespace vlsa::sim

@@ -88,10 +88,10 @@ namespace vlsa::trace {
 /// observability.md).  Names are stable identifiers — scripts and the
 /// golden-file test match on them.
 enum class EventName : std::uint8_t {
-  kSubmit = 0,     ///< instant: producer handed a request to the queue
+  kSubmit = 0,     ///< instant: a submit call queued requests on a shard
   kQueueWait = 1,  ///< span: arrival → dispatcher pop (needs wall clock)
   kBatchPack = 2,  ///< span: operand transpose into the sliced batch
-  kEngineEval = 3, ///< span: one batch_aca_add_into evaluation
+  kEngineEval = 3, ///< span: one wide_aca_add_into evaluation
   kErCheck = 4,    ///< instant: a lane's ER flag fired
   kRecovery = 5,   ///< span: serial recovery-lane recomputation
   kComplete = 6,   ///< instant: completion delivered to the requester

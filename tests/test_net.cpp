@@ -544,6 +544,41 @@ TEST(NetLoopback, RejectPolicyAnswersRejectedFrames) {
   }
 }
 
+TEST(NetLoopback, CorkAfterUncorkedSendWritesEachFrameOnce) {
+  // An uncorked send must leave nothing behind in the send buffer;
+  // otherwise the next corked flush writes the old frame again and the
+  // server answers that id twice.
+  const int width = 64, window = 8;
+  AdderService service(service_config(width, window, OverflowPolicy::Block));
+  net::Server server(net::ServerConfig{}, service);
+  net::Client client("127.0.0.1", server.port());
+
+  const BitVec a = BitVec::from_u64(width, 3);
+  const BitVec b = BitVec::from_u64(width, 4);
+  ASSERT_EQ(client.send(a, b), 1u);
+  const ResponseFrame first = client.recv();
+  EXPECT_EQ(first.id, 1u);
+  EXPECT_EQ(first.sum, a + b);
+
+  client.cork(true);
+  const BitVec c = BitVec::from_u64(width, 5);
+  const BitVec d = BitVec::from_u64(width, 6);
+  ASSERT_EQ(client.send(c, d), 2u);
+  const ResponseFrame second = client.recv();
+  EXPECT_EQ(second.id, 2u);
+  EXPECT_EQ(second.sum, c + d);
+
+  // Nothing is outstanding, so the next read must see the server's
+  // close rather than a second answer.
+  client.finish_sending();
+  EXPECT_THROW(static_cast<void>(client.recv()), net::ConnectionError);
+  long long frames_in = -1;
+  for (const auto& [name, value] : service.registry().snapshot().counters) {
+    if (name == "net.frames_in") frames_in = value;
+  }
+  EXPECT_EQ(frames_in, 2);
+}
+
 TEST(NetLoopback, RecoveryTrafficCarriesTheFlag) {
   // Complementary operands (b ≈ ~a) make nearly every addition
   // propagate across the window — the adversarial traffic the ER flag

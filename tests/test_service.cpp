@@ -578,6 +578,109 @@ TEST(ServiceSharded, RejectPolicyCountsAgainstTheRoutedShard) {
   service.flush();
 }
 
+TEST(ServiceSharded, SubmitManySplitsAHashChunkByShard) {
+  // A Hash-routed submit_many chunk goes in as one share per shard:
+  // each shard admits the leading requests of its share up to capacity,
+  // the rest come back as nullopt at their own index, and the counters
+  // land on the routed shard.
+  auto config = pump_config(64, 8, /*capacity=*/8);
+  config.shards = 2;
+  config.overflow = OverflowPolicy::Reject;
+  AdderService service(config);
+  workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
+                                  0x5a1);
+  std::vector<std::pair<BitVec, BitVec>> ops;
+  std::vector<std::size_t> shard_of;
+  for (int i = 0; i < 40; ++i) {
+    auto ab = stream.next();
+    shard_of.push_back(service.route_of(ab.first, ab.second));
+    ops.push_back(std::move(ab));
+  }
+  const auto sent = ops;
+  auto futures = service.submit_many(std::move(ops));
+  ASSERT_EQ(futures.size(), sent.size());
+  std::array<long long, 2> routed{}, accepted{};
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const bool leading = routed[shard_of[i]]++ < 8;
+    EXPECT_EQ(futures[i].has_value(), leading) << "request " << i;
+    if (leading) ++accepted[shard_of[i]];
+  }
+  ASSERT_GT(routed[0], 8) << "seed no longer overflows shard 0";
+  ASSERT_GT(routed[1], 8) << "seed no longer overflows shard 1";
+  service.flush();
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    if (futures[i]) {
+      EXPECT_EQ(futures[i]->get().sum, sent[i].first + sent[i].second);
+    }
+  }
+  const auto snap = service.registry().snapshot();
+  EXPECT_EQ(counter_value(snap, "service.submitted"), 16);
+  EXPECT_EQ(counter_value(snap, "service.rejected"), 40 - 16);
+  for (int s = 0; s < 2; ++s) {
+    const std::string suffix = "{shard=" + std::to_string(s) + "}";
+    EXPECT_EQ(counter_value(snap, "service.submitted" + suffix),
+              accepted[static_cast<std::size_t>(s)]);
+    EXPECT_EQ(counter_value(snap, "service.rejected" + suffix),
+              routed[static_cast<std::size_t>(s)] -
+                  accepted[static_cast<std::size_t>(s)]);
+  }
+}
+
+TEST(ServiceSharded, TrySubmitCallbackMissHandsOperandsBack) {
+  // The event-loop contract of try_submit_callback on a full shard:
+  // never block, return false, give both operands back untouched and
+  // drop the callback unrun.  Under Block the miss is a stall (the net
+  // server parks the frame), so service.rejected must not move; under
+  // Reject it counts on the global counter and the routed shard only.
+  for (const OverflowPolicy policy :
+       {OverflowPolicy::Block, OverflowPolicy::Reject}) {
+    auto config = pump_config(64, 8, /*capacity=*/8);
+    config.shards = 2;
+    config.overflow = policy;
+    AdderService service(config);
+    workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
+                                    0x7e5);
+    auto next_for_shard = [&](std::size_t shard) {
+      for (;;) {
+        auto ops = stream.next();
+        if (service.route_of(ops.first, ops.second) == shard) return ops;
+      }
+    };
+    int delivered = 0;
+    const auto count = [&delivered](const Completion&) { ++delivered; };
+    for (int i = 0; i < 8; ++i) {
+      auto [a, b] = next_for_shard(0);
+      ASSERT_TRUE(service.try_submit_callback(std::move(a), std::move(b),
+                                              count));
+    }
+    const auto [a0, b0] = next_for_shard(0);
+    BitVec a = a0;
+    BitVec b = b0;
+    bool miss_ran = false;
+    EXPECT_FALSE(service.try_submit_callback(
+        std::move(a), std::move(b),
+        [&miss_ran](const Completion&) { miss_ran = true; }));
+    EXPECT_EQ(a, a0);
+    EXPECT_EQ(b, b0);
+    const long long expect_rejected =
+        policy == OverflowPolicy::Reject ? 1 : 0;
+    const auto snap = service.registry().snapshot();
+    EXPECT_EQ(counter_value(snap, "service.rejected"), expect_rejected);
+    EXPECT_EQ(counter_value(snap, "service.rejected{shard=0}"),
+              expect_rejected);
+    EXPECT_EQ(counter_value(snap, "service.rejected{shard=1}"), 0);
+    EXPECT_EQ(counter_value(snap, "service.submitted"), 8);
+    EXPECT_EQ(counter_value(snap, "service.submitted{shard=0}"), 8);
+    // The sibling shard is unaffected by its neighbor being full.
+    auto [a1, b1] = next_for_shard(1);
+    EXPECT_TRUE(service.try_submit_callback(std::move(a1), std::move(b1),
+                                            count));
+    service.flush();
+    EXPECT_FALSE(miss_ran);
+    EXPECT_EQ(delivered, 9);
+  }
+}
+
 TEST(ServiceSharded, NeighborStealExecutesOnThiefWithProvenance) {
   // 2 shards, all traffic hash-routed to shard 0, stealing on: shard
   // 1's idle dispatcher must lift batches from its neighbor, and every
