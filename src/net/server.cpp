@@ -5,7 +5,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,6 +18,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "net/notifier.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
 
@@ -69,46 +69,7 @@ struct Metrics {
 };
 
 struct Connection;
-
-// The one object completion callbacks are allowed to touch besides the
-// connection itself: an eventfd plus a ready-list.  Owned by shared_ptr
-// from the loop AND every connection, so a callback firing after the
-// loop thread exited still has a live eventfd to (harmlessly) poke.
-struct Notifier {
-  Notifier() : wakefd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
-    if (wakefd < 0) throw std::runtime_error("net: eventfd failed");
-  }
-  ~Notifier() { ::close(wakefd); }
-
-  Notifier(const Notifier&) = delete;
-  Notifier& operator=(const Notifier&) = delete;
-
-  void push(std::shared_ptr<Connection> conn) {
-    bool wake = false;
-    {
-      util::LockGuard lock(mutex);
-      ready.push_back(std::move(conn));
-      wake = !signaled;
-      signaled = true;
-    }
-    if (wake) {
-      const std::uint64_t one = 1;
-      // Best-effort: a full eventfd counter still wakes the loop.
-      [[maybe_unused]] const auto n = ::write(wakefd, &one, sizeof(one));
-    }
-  }
-
-  std::vector<std::shared_ptr<Connection>> take() {
-    util::LockGuard lock(mutex);
-    signaled = false;
-    return std::exchange(ready, {});
-  }
-
-  const int wakefd;
-  util::Mutex mutex;
-  std::vector<std::shared_ptr<Connection>> ready GUARDED_BY(mutex);
-  bool signaled GUARDED_BY(mutex) = false;
-};
+using ConnNotifier = Notifier<Connection>;
 
 // Per-connection state.  Everything except `pending`/`inflight` is
 // owned by the loop thread; `pending` is the producer side of the
@@ -117,7 +78,7 @@ struct Notifier {
 struct Connection : std::enable_shared_from_this<Connection> {
   int fd = -1;
   std::uint64_t id = 0;
-  std::shared_ptr<Notifier> notifier;
+  std::shared_ptr<ConnNotifier> notifier;
   FrameDecoder decoder{DecoderLimits{}};
 
   // Loop-thread state.
@@ -162,7 +123,7 @@ class EventLoop {
       : config_(config),
         service_(service),
         metrics_(std::move(metrics)),
-        notifier_(std::make_shared<Notifier>()),
+        notifier_(std::make_shared<ConnNotifier>()),
         width_(service.config().pipeline.width),
         window_(service.config().pipeline.window),
         reject_(service.config().overflow ==
@@ -171,8 +132,8 @@ class EventLoop {
     if (epfd_ < 0) throw std::runtime_error("net: epoll_create1 failed");
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = notifier_->wakefd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, notifier_->wakefd, &ev) != 0) {
+    ev.data.fd = notifier_->wakefd();
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, notifier_->wakefd(), &ev) != 0) {
       ::close(epfd_);
       throw std::runtime_error("net: epoll_ctl(wakefd) failed");
     }
@@ -244,10 +205,10 @@ class EventLoop {
       bool notified = false;
       for (int i = 0; i < std::max(n, 0); ++i) {
         const epoll_event& ev = events[static_cast<std::size_t>(i)];
-        if (ev.data.fd == notifier_->wakefd) {
+        if (ev.data.fd == notifier_->wakefd()) {
           std::uint64_t drained = 0;
           [[maybe_unused]] const auto r =
-              ::read(notifier_->wakefd, &drained, sizeof(drained));
+              ::read(notifier_->wakefd(), &drained, sizeof(drained));
           notified = true;
           continue;
         }
@@ -265,8 +226,12 @@ class EventLoop {
       retry_stalled(chunk);
       if (draining) drain_tick(chunk);
       if (draining_.load(std::memory_order_acquire) && conns_.empty()) {
-        // Late completion callbacks may still push; nothing to do for
-        // them once every connection is gone.
+        // Late completion callbacks may still push (a callback drops
+        // `inflight` before it pushes, so the drain can finish between
+        // the two).  Close the ready list so those pushes drop their
+        // connection instead of parking it where nobody takes it, and
+        // release whatever is parked: every connection has left conns_.
+        notifier_->close_and_take();
         break;
       }
     }
@@ -688,7 +653,7 @@ class EventLoop {
   const ServerConfig config_;
   service::AdderService& service_;
   std::shared_ptr<Metrics> metrics_;
-  std::shared_ptr<Notifier> notifier_;
+  std::shared_ptr<ConnNotifier> notifier_;
   const int width_;
   const int window_;
   const bool reject_;

@@ -44,7 +44,9 @@ void check_wide(const WideBatch& ops, int k) {
   }
 }
 
-/// Run the eval kernel group by group over a wide slice pair.
+/// Run the eval kernel group by group over a wide slice pair.  The
+/// first `n * words` words of out.scratch hold the run mask; callers
+/// may keep their own data after them.
 void wide_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
                int lanes, int k, const std::uint64_t* carry_in,
                WideResult& out, Isa isa) {
@@ -53,21 +55,20 @@ void wide_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
   out.lanes = lanes;
   const auto signal_words =
       static_cast<std::size_t>(n) * static_cast<std::size_t>(words);
-  out.sum_spec.assign(signal_words, 0);
-  out.sum_exact.assign(signal_words, 0);
-  out.carry_spec.assign(signal_words, 0);
-  out.carry_out_spec.assign(static_cast<std::size_t>(words), 0);
-  out.carry_out_exact.assign(static_cast<std::size_t>(words), 0);
-  out.flagged.assign(static_cast<std::size_t>(words), 0);
-  out.wrong.assign(static_cast<std::size_t>(words), 0);
+  // No zero-fill: the kernel writes every word of every output.
+  out.sum_spec.resize(signal_words);
+  out.carry_out_spec.resize(static_cast<std::size_t>(words));
+  out.carry_out_exact.resize(static_cast<std::size_t>(words));
+  out.flagged.resize(static_cast<std::size_t>(words));
+  out.wrong.resize(static_cast<std::size_t>(words));
+  if (out.scratch.size() < signal_words) out.scratch.resize(signal_words);
 
-  const detail::EvalOut eo{out.sum_spec.data(),       out.sum_exact.data(),
-                           out.carry_spec.data(),     out.carry_out_spec.data(),
+  const detail::EvalOut eo{out.sum_spec.data(), out.carry_out_spec.data(),
                            out.carry_out_exact.data(), out.flagged.data(),
                            out.wrong.data()};
   const detail::Kernels* kn = detail::kernels_for(isa, words);
   for (int w0 = 0; w0 < words; w0 += kn->group_words) {
-    kn->eval(a, b, n, words, w0, k, carry_in, eo);
+    kn->eval(a, b, n, words, w0, k, carry_in, out.scratch.data(), eo);
   }
 }
 
@@ -91,13 +92,15 @@ WideResult wide_aca_add(const WideBatch& ops, int k,
 void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
                        Isa isa) {
   check_wide(ops, k);
-  // a - b = a + ~b + 1 per lane, carry-in set on every lane.
-  std::vector<std::uint64_t> bc(ops.b.size());
-  for (std::size_t i = 0; i < bc.size(); ++i) bc[i] = ~ops.b[i];
-  const std::vector<std::uint64_t> ones(
-      static_cast<std::size_t>(ops.words()), ~std::uint64_t{0});
-  wide_eval(ops.a.data(), bc.data(), ops.width, ops.lanes, k, ones.data(),
-            out, isa);
+  // a - b = a + ~b + 1 per lane, carry-in set on every lane.  ~b and
+  // the carry-in mask sit in out.scratch after the run mask.
+  const std::size_t signal_words = ops.b.size();
+  out.scratch.resize(2 * signal_words + static_cast<std::size_t>(ops.words()));
+  std::uint64_t* bc = out.scratch.data() + signal_words;
+  std::uint64_t* ones = bc + signal_words;
+  for (std::size_t i = 0; i < signal_words; ++i) bc[i] = ~ops.b[i];
+  std::fill_n(ones, ops.words(), ~std::uint64_t{0});
+  wide_eval(ops.a.data(), bc, ops.width, ops.lanes, k, ones, out, isa);
 }
 
 WideResult wide_aca_sub(const WideBatch& ops, int k, Isa isa) {
@@ -111,10 +114,11 @@ std::vector<std::uint64_t> wide_aca_flag(const WideBatch& ops, int k,
   check_wide(ops, k);
   const int words = ops.words();
   std::vector<std::uint64_t> flagged(static_cast<std::size_t>(words), 0);
+  std::vector<std::uint64_t> runs(ops.a.size());
   const detail::Kernels* kn = detail::kernels_for(isa, words);
   for (int w0 = 0; w0 < words; w0 += kn->group_words) {
     kn->flag_only(ops.a.data(), ops.b.data(), ops.width, words, w0, k,
-                  flagged.data());
+                  runs.data(), flagged.data());
   }
   return flagged;
 }
@@ -245,8 +249,8 @@ std::vector<util::BitVec> wide_lane_values(
 }
 
 void fill_uniform(util::Rng& rng, WideBatch& batch) {
-  for (auto& word : batch.a) word = rng.next_u64();
-  for (auto& word : batch.b) word = rng.next_u64();
+  rng.fill(batch.a);
+  rng.fill(batch.b);
 }
 
 }  // namespace vlsa::sim

@@ -7,16 +7,18 @@
 // engine stores a batch of operand pairs *transposed*: bit i of the
 // batch lives in the `lanes/64` consecutive words at offset
 // `i * (lanes/64)`, lane j in bit (j % 64) of word (j / 64) of each
-// group.  All the adder's signals — propagate/generate, the windowed
-// speculative carries, the exact carries, the ER flag, the mispredict
-// indicator — are then plain AND/OR/XOR recurrences over those words,
-// evaluating every lane simultaneously.  One batch costs O(n·k) word
-// operations per 64 lanes, i.e. ~k operations per addition instead of
-// a per-bit interpreted loop, which is where batch Monte-Carlo
-// (workloads/batch_monte_carlo.hpp) gets its two-orders-of-magnitude
-// throughput win.  Evaluation runs on the widest kernel the
-// requested ISA allows (see sim/isa.hpp): one AVX-512 step advances 512
-// lanes, AVX2 256, scalar 64, all bit-identical to each other.
+// group.  All the adder's signals — propagate/generate, the exact
+// carries, the k-propagate run mask R_k, the speculative carries
+// c_spec = c_exact & ~R_k (docs/theory.md §4), the ER flag, the
+// mispredict indicator — are then plain AND/OR/XOR recurrences over
+// those words, evaluating every lane simultaneously.  R_k is built by
+// doubling runs of length 1, 2, 4, ..., so one batch costs O(n log k)
+// word operations per 64 lanes instead of a per-bit interpreted loop,
+// which is where batch Monte-Carlo (workloads/batch_monte_carlo.hpp)
+// gets its two-orders-of-magnitude throughput win.  Evaluation runs on
+// the widest kernel the requested ISA allows (see sim/isa.hpp): one
+// AVX-512 step advances 512 lanes, AVX2 256, scalar 64, all
+// bit-identical to each other.
 //
 // The engine is only a valid reproduction instrument because it is
 // bit-exactly equivalent to the scalar specification:
@@ -66,19 +68,22 @@ struct WideBatch {
   [[nodiscard]] int words() const { return lanes / 64; }
 };
 
-/// All outputs of one wide evaluation.  Signal members hold
+/// All outputs of one wide evaluation.  `sum_spec` holds
 /// `width * words()` words (wide slice layout); mask members hold
-/// `words()` words, lane j in bit (j % 64) of word (j / 64).
+/// `words()` words, lane j in bit (j % 64) of word (j / 64).  Reusing
+/// one WideResult across calls reuses its buffers: a steady caller
+/// allocates nothing per evaluation.
 struct WideResult {
   int width = 0;
   int lanes = 0;
   std::vector<std::uint64_t> sum_spec;    ///< speculative (ACA) sums
-  std::vector<std::uint64_t> sum_exact;   ///< true sums (recovery output)
-  std::vector<std::uint64_t> carry_spec;  ///< windowed carry chain
   std::vector<std::uint64_t> carry_out_spec;   ///< lane mask
   std::vector<std::uint64_t> carry_out_exact;  ///< lane mask
   std::vector<std::uint64_t> flagged;  ///< lane mask: ER fired (chain >= k)
   std::vector<std::uint64_t> wrong;    ///< lane mask: speculative != exact
+  /// Engine working memory (the run mask; for subtraction also ~b and
+  /// the all-ones carry-in).  Not an output.
+  std::vector<std::uint64_t> scratch;
 
   [[nodiscard]] int words() const { return lanes / 64; }
   [[nodiscard]] bool flagged_lane(int lane) const {
@@ -102,7 +107,9 @@ struct WideResult {
   }
 };
 
-/// Evaluate ACA(width, k) plus the exact adder on all lanes.
+/// Evaluate ACA(width, k) on all lanes: the speculative sum, both
+/// carry-outs, the ER flag and whether the speculative result differs
+/// from the exact one.
 /// `carry_in` is a nullable lane-mask pointer (`ops.words()` words;
 /// nullptr = no carry in).  `isa` is the upper bound on the kernel tier
 /// (see resolved_isa); the default is the process-wide choice.

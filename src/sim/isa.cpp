@@ -75,11 +75,14 @@ bool isa_compiled(Isa isa) { return kernels_of(isa) != nullptr; }
 bool isa_supported(Isa isa) { return isa_compiled(isa) && cpu_has(isa); }
 
 Isa best_isa() {
-  // AVX2 ahead of AVX-512, deliberately: on the machines we measure,
-  // 512-bit execution downclocks the core and ends up *slower* end to
-  // end than AVX2 at every service width (docs/benchmarks.md records
-  // the numbers).  VLSA_FORCE_ISA=avx512 (active_isa) is the explicit
-  // opt-in for parts where the wide tier does win.
+  // AVX2 ahead of AVX-512, deliberately.  The first reference host
+  // (1 thread) measured the 512-lane tier 3% behind AVX2 end to end;
+  // on the 4-vCPU AVX-512 host, with the O(n log k) kernel, it reads
+  // 1.43 vs 1.33 Mreq/s at width 1024 (medians of 4 runs that spread
+  // by 30%; docs/benchmarks.md).  Switching the default would change
+  // every Monte-Carlo RNG stream and every service workload's batch
+  // shape, so it is a change of its own.
+  // VLSA_FORCE_ISA=avx512 (active_isa) is the explicit opt-in.
   if (isa_supported(Isa::Avx2)) return Isa::Avx2;
   if (isa_supported(Isa::Avx512)) return Isa::Avx512;
   return Isa::Scalar;

@@ -42,12 +42,12 @@ enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 [[nodiscard]] bool isa_supported(Isa isa);
 
 /// Preferred supported tier on this machine/build.  NOT simply the
-/// widest: AVX2 is preferred over AVX-512 even when both are supported,
-/// because measured batch throughput at service widths is HIGHER on
-/// AVX2 (BENCH_simd.json: 1.807x vs 1.755x over scalar at width 1024 —
-/// 512-bit execution downclocks the core and the wider lanes do not
-/// earn the frequency loss back; see docs/benchmarks.md).  Set
-/// VLSA_FORCE_ISA=avx512 to opt back in on parts where it wins.
+/// widest: AVX2 is preferred over AVX-512 even when both are supported.
+/// The preference came from a 1-thread host where AVX-512 ran 3% behind;
+/// the 4-vCPU AVX-512 host now reads it level or ahead, within run-to-
+/// run spread (docs/benchmarks.md), and the default lane count is part
+/// of every Monte-Carlo RNG stream, so it stays until a change of its
+/// own.  Set VLSA_FORCE_ISA=avx512 to opt in.
 [[nodiscard]] Isa best_isa();
 
 /// The process-wide tier: best_isa(), unless VLSA_FORCE_ISA names

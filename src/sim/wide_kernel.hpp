@@ -12,11 +12,16 @@
 // G divides `words`.  Mask outputs (carry-outs, ER flags, mispredict)
 // are lane masks occupying words [w0, w0+G).
 //
-// The algorithms are verbatim the 64-lane recurrences PR 1 shipped
-// (exact carry chain, windowed speculative carries, doubling-run flag,
-// round-extension longest runs); the template only changes how many
-// lanes one word step advances.  Differential tests pin every
-// instantiation to the scalar model (tests/test_batch_engine.cpp).
+// One exact-carry pass plus the k-propagate run mask R_k gives every
+// output (docs/theory.md §4): the speculative carry is the exact carry
+// except where a run of k propagates ends, c_spec[i] = c_exact[i] &
+// ~R_k[i].  R_k comes from AND-doubling over windows of length 1, 2,
+// 4, ... (the sharing of the paper's Fig. 3/4), so a lane group costs
+// O(n log k) word operations, not O(n·k).  The template only changes
+// how many lanes one word step advances.  Differential tests pin every
+// instantiation to the scalar model (tests/test_batch_engine.cpp); the
+// identity itself is proved at gate level (tests/test_formal.cpp,
+// Formal.SpeculativeCarryIdentityMatchesBuildAca).
 
 #include <algorithm>
 #include <bit>
@@ -29,112 +34,90 @@
 namespace vlsa::sim::detail {
 
 /// Output pointers for one kernel_eval call, all in the wide slice
-/// layout described above (sum/carry arrays are `n * stride` words,
-/// mask arrays are `stride` words; the kernel touches only its group).
+/// layout described above (sum_spec is `n * stride` words, mask arrays
+/// are `stride` words; the kernel touches only its group).
 struct EvalOut {
   std::uint64_t* sum_spec = nullptr;
-  std::uint64_t* sum_exact = nullptr;
-  std::uint64_t* carry_spec = nullptr;
   std::uint64_t* carry_out_spec = nullptr;
   std::uint64_t* carry_out_exact = nullptr;
   std::uint64_t* flagged = nullptr;
   std::uint64_t* wrong = nullptr;
 };
 
-/// Lane mask of runs: after the doubling loop, r[i] has lane j set iff
-/// lane j's propagate bits [i-k+1 .. i] are all 1.  OR over i (only
-/// i >= k-1 can hold a full window) is exactly the scalar ER flag.
+/// The run mask R_k of one group into `r` (n * kWords words, bit i at
+/// r + i * kWords): lane j of R_k[i] is set iff lane j's propagate bits
+/// [i-k+1 .. i] are all 1.  Starts from p and doubles the run length in
+/// place; zeros shift in from below, so R_k[i] = 0 for i < k-1 (and for
+/// every i when k > n).  OR over i is exactly the scalar ER flag.
 template <class Word>
-Word kernel_flag_from_p(const std::vector<Word>& p, int k) {
-  const int n = static_cast<int>(p.size());
-  if (k > n) return Word::zero();
-  std::vector<Word> r = p;  // r[i]: run of length t ends at i
-  int t = 1;
-  while (t < k) {
+void kernel_run_mask(const std::uint64_t* a, const std::uint64_t* b, int n,
+                     int stride, int w0, int k, std::uint64_t* r) {
+  constexpr int G = Word::kWords;
+  for (int i = 0; i < n; ++i) {
+    const std::size_t at = static_cast<std::size_t>(i) * stride + w0;
+    (Word::load(a + at) ^ Word::load(b + at)).store(r + i * G);
+  }
+  for (int t = 1; t < k;) {
     const int s = std::min(t, k - t);
-    // Descending i so r[i - s] is still the length-t value.
-    for (int i = n - 1; i >= 0; --i) {
-      r[i] = (i >= s) ? (r[i] & r[i - s]) : Word::zero();
+    // Descending i so r[i - s] still holds the length-t run.
+    for (int i = n - 1; i >= s; --i) {
+      (Word::load(r + i * G) & Word::load(r + (i - s) * G)).store(r + i * G);
     }
+    std::fill(r, r + std::min(s, n) * G, std::uint64_t{0});
     t += s;
   }
-  Word any = Word::zero();
-  for (int i = k - 1; i < n; ++i) any = any | r[i];
-  return any;
 }
 
-/// Full evaluation of ACA(n, k) plus the exact adder on one lane group.
-/// `carry_in` is a lane-mask base pointer (nullptr = no carry in).
+/// Full evaluation of ACA(n, k) on one lane group, checked against the
+/// exact carry chain.  `carry_in` is a lane-mask base pointer (nullptr
+/// = no carry in);
+/// `r` is n * kWords words of working memory for the run mask.
 template <class Word>
 void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
                  int stride, int w0, int k, const std::uint64_t* carry_in,
-                 const EvalOut& out) {
-  // Propagate/generate slices (kept as locals: p and g are cheap to
-  // recompute per use but the spec-carry loop reads them k times each).
-  std::vector<Word> p(static_cast<std::size_t>(n));
-  std::vector<Word> g(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const Word av = Word::load(a + static_cast<std::size_t>(i) * stride + w0);
-    const Word bv = Word::load(b + static_cast<std::size_t>(i) * stride + w0);
-    p[i] = av ^ bv;
-    g[i] = av & bv;
-  }
+                 std::uint64_t* r, const EvalOut& out) {
+  constexpr int G = Word::kWords;
+  kernel_run_mask<Word>(a, b, n, stride, w0, k, r);
+  // Exact ripple, c_e[i] = g_i | (p_i & c_e[i-1]) with c_e[-1] = carry
+  // in, and c_s[i] = c_e[i] & ~R_k[i]: a window that is all propagates
+  // speculates 0, any other window sees the exact carry.  R_k is 0 for
+  // i < k-1, so the short windows at the bottom keep the carry-in.
+  // A lane is wrong iff some carry differs, i.e. c_e & R_k somewhere.
   const Word cin =
       carry_in == nullptr ? Word::zero() : Word::load(carry_in + w0);
-
-  // Exact carry chain: c_i = g_i | (p_i & c_{i-1}), c_{-1} = carry_in.
-  Word ec = cin;
-  for (int i = 0; i < n; ++i) {
-    (p[i] ^ ec).store(out.sum_exact + static_cast<std::size_t>(i) * stride +
-                      w0);
-    ec = g[i] | (p[i] & ec);
-  }
-  ec.store(out.carry_out_exact + w0);
-
-  // Speculative carries: each bit i ripples only its window
-  // [max(0, i-k+1) .. i].  The seed entering the window is 0 when the
-  // window is full-length (a k-propagate window speculates 0 — the error
-  // source) and the architectural carry-in when the window is clamped at
-  // bit 0 with fewer than k positions (a short chain to bit 0 *knows*
-  // the carry-in).  Any generate/kill inside the window overwrites the
-  // seed, so the two cases only differ on all-propagate windows —
-  // exactly the scalar model's case split on the run length.
-  //
-  // `wrong` is accumulated in the same pass: a lane's speculative sum
-  // bit differs from the exact one iff the incoming carries differed,
-  // and the freshly computed spec sum is still in a register here.
+  Word ce = cin;
+  Word cs = cin;
+  Word flagged = Word::zero();
   Word wrong = Word::zero();
-  Word sc = cin;  // c_{i-1}; c_{-1} = carry_in
   for (int i = 0; i < n; ++i) {
     const std::size_t at = static_cast<std::size_t>(i) * stride + w0;
-    const Word ss = p[i] ^ sc;
-    ss.store(out.sum_spec + at);
-    wrong = wrong | (ss ^ Word::load(out.sum_exact + at));
-    const int lo = std::max(0, i - k + 1);
-    Word c = (i < k - 1) ? cin : Word::zero();
-    for (int j = lo; j <= i; ++j) {
-      c = g[j] | (p[j] & c);
-    }
-    c.store(out.carry_spec + at);
-    sc = c;
+    const Word av = Word::load(a + at);
+    const Word bv = Word::load(b + at);
+    const Word p = av ^ bv;
+    (p ^ cs).store(out.sum_spec + at);
+    ce = (av & bv) | (p & ce);
+    const Word run = Word::load(r + i * G);
+    const Word miss = ce & run;
+    cs = ce ^ miss;
+    flagged = flagged | run;
+    wrong = wrong | miss;
   }
-  sc.store(out.carry_out_spec + w0);
-  wrong = wrong | (sc ^ ec);
+  cs.store(out.carry_out_spec + w0);
+  ce.store(out.carry_out_exact + w0);
+  flagged.store(out.flagged + w0);
   wrong.store(out.wrong + w0);
-
-  kernel_flag_from_p(p, k).store(out.flagged + w0);
 }
 
 /// Just the ER lane mask for one group (matches scalar `aca_flag`).
 template <class Word>
 void kernel_flag_only(const std::uint64_t* a, const std::uint64_t* b, int n,
-                      int stride, int w0, int k, std::uint64_t* flagged) {
-  std::vector<Word> p(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    p[i] = Word::load(a + static_cast<std::size_t>(i) * stride + w0) ^
-           Word::load(b + static_cast<std::size_t>(i) * stride + w0);
-  }
-  kernel_flag_from_p(p, k).store(flagged + w0);
+                      int stride, int w0, int k, std::uint64_t* r,
+                      std::uint64_t* flagged) {
+  constexpr int G = Word::kWords;
+  kernel_run_mask<Word>(a, b, n, stride, w0, k, r);
+  Word any = Word::zero();
+  for (int i = 0; i < n; ++i) any = any | Word::load(r + i * G);
+  any.store(flagged + w0);
 }
 
 /// Per-lane longest propagate chain for one group; `runs` receives
@@ -203,9 +186,9 @@ struct Kernels {
   int group_words = 1;
   void (*eval)(const std::uint64_t* a, const std::uint64_t* b, int n,
                int stride, int w0, int k, const std::uint64_t* carry_in,
-               const EvalOut& out) = nullptr;
+               std::uint64_t* r, const EvalOut& out) = nullptr;
   void (*flag_only)(const std::uint64_t* a, const std::uint64_t* b, int n,
-                    int stride, int w0, int k,
+                    int stride, int w0, int k, std::uint64_t* r,
                     std::uint64_t* flagged) = nullptr;
   void (*longest_runs)(const std::uint64_t* a, const std::uint64_t* b, int n,
                        int stride, int w0, int* runs) = nullptr;

@@ -6,6 +6,7 @@
 // specified here, independent of the standard library implementation.
 
 #include <cstdint>
+#include <span>
 
 #include "util/bitvec.hpp"
 
@@ -20,6 +21,10 @@ class Rng {
 
   /// Uniform 64-bit value.
   std::uint64_t next_u64();
+
+  /// Fill `out` with successive next_u64() values — the same sequence
+  /// and the same final state, with the state held in registers.
+  void fill(std::span<std::uint64_t> out);
 
   /// Uniform value in [0, bound); bound must be nonzero.
   std::uint64_t next_below(std::uint64_t bound);

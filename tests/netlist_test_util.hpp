@@ -1,6 +1,8 @@
 #pragma once
 // Shared helpers for driving generated netlists in tests and benches.
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -55,6 +57,46 @@ inline std::vector<AdderSimResult> run_adder_netlist(
 inline bool net_bit(const std::vector<std::uint64_t>& values,
                     netlist::NetId net, int lane) {
   return (values[static_cast<std::size_t>(net)] >> lane) & 1;
+}
+
+/// The batch engine's evaluation (sim/wide_kernel.hpp) as a gate
+/// netlist, ports named as core::build_aca(width, window, true) names
+/// them: exact ripple carries c_e, the k-propagate run mask R_k by
+/// in-place AND-doubling (zeros shift in below bit k-1), speculative
+/// carries c_s = c_e & ~R_k, sum[i] = p[i] ^ c_s[i-1], cout = c_s[n-1]
+/// and error = OR R_k.
+inline netlist::Netlist build_run_mask_aca(int width, int window) {
+  netlist::Netlist nl("run_mask_aca" + std::to_string(width) + "_k" +
+                      std::to_string(window));
+  const auto a = nl.add_input_bus("a", width);
+  const auto b = nl.add_input_bus("b", width);
+  const auto n = static_cast<std::size_t>(width);
+  std::vector<netlist::NetId> p(n), exact(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = nl.xor2(a[i], b[i]);
+    const netlist::NetId g = nl.and2(a[i], b[i]);
+    exact[i] = i == 0 ? g : nl.or2(g, nl.and2(p[i], exact[i - 1]));
+  }
+  std::vector<netlist::NetId> run = p;
+  for (int t = 1; t < window;) {
+    const auto s = static_cast<std::size_t>(std::min(t, window - t));
+    for (std::size_t i = n; i-- > 0;) {
+      run[i] = i >= s ? nl.and2(run[i], run[i - s]) : nl.const0();
+    }
+    t += static_cast<int>(s);
+  }
+  std::vector<netlist::NetId> sum(n);
+  netlist::NetId spec = netlist::kNoNet;  // c_s[i-1]
+  netlist::NetId error = nl.const0();
+  for (std::size_t i = 0; i < n; ++i) {
+    sum[i] = i == 0 ? p[0] : nl.xor2(p[i], spec);
+    spec = nl.and2(exact[i], nl.inv(run[i]));
+    error = nl.or2(error, run[i]);
+  }
+  nl.mark_output_bus("sum", sum);
+  nl.mark_output(spec, "cout");
+  nl.mark_output(error, "error");
+  return nl;
 }
 
 }  // namespace vlsa::testing

@@ -75,9 +75,20 @@ bool mask_lane(const std::vector<std::uint64_t>& mask, int lane) {
              0;
 }
 
+/// The speculative carry out of every bit, re-derived from the outputs
+/// the engine returns: sum_spec[i+1] = p[i+1] ^ c_spec[i], and the last
+/// carry is carry_out_spec.
+BitVec derived_spec_carries(const BitVec& a, const BitVec& b,
+                            const BitVec& sum_spec, bool carry_out_spec) {
+  BitVec carries = (sum_spec ^ a ^ b).shr(1);
+  carries.set_bit(a.width() - 1, carry_out_spec);
+  return carries;
+}
+
 // Check one output lane of `got` against the scalar model for the same
-// operands — every signal the engine returns.  `cin` is the lane mask
-// that was fed to the engine (empty = no carry in).
+// operands — every signal the engine returns, plus every internal
+// speculative carry derived from them.  `cin` is the lane mask that
+// was fed to the engine (empty = no carry in).
 void expect_wide_lane_matches_scalar(const WideBatch& ops,
                                      const std::vector<std::uint64_t>& cin,
                                      int k, const WideResult& got, int lane,
@@ -89,11 +100,11 @@ void expect_wide_lane_matches_scalar(const WideBatch& ops,
   const bool lane_cin = mask_lane(cin, lane);
   const auto scalar = aca_add(a, b, k, lane_cin);
   const auto exact = a.add_with_carry(b, lane_cin);
-  ASSERT_EQ(sim::wide_lane_value(got.sum_spec, n, words, lane), scalar.sum)
+  const BitVec sum_spec = sim::wide_lane_value(got.sum_spec, n, words, lane);
+  ASSERT_EQ(sum_spec, scalar.sum)
       << label << " spec sum lane " << lane << " n=" << n << " k=" << k;
-  ASSERT_EQ(sim::wide_lane_value(got.sum_exact, n, words, lane), exact.sum)
-      << label << " exact sum lane " << lane << " n=" << n << " k=" << k;
-  ASSERT_EQ(sim::wide_lane_value(got.carry_spec, n, words, lane),
+  ASSERT_EQ(derived_spec_carries(a, b, sum_spec,
+                                 mask_lane(got.carry_out_spec, lane)),
             aca_speculative_carries(a, b, k, lane_cin))
       << label << " carries lane " << lane << " n=" << n << " k=" << k;
   ASSERT_EQ(mask_lane(got.carry_out_spec, lane), scalar.carry_out)
@@ -368,6 +379,75 @@ TEST(BatchEngineWide, EveryTierMatchesScalarOnAllPropagateOperands) {
   }
 }
 
+TEST(BatchEngineWide, EdgeWindowsMatchScalarOnEveryTier) {
+  // Windows the grid above never reaches: k = n-1, k = n+1 and k far
+  // beyond n (no full window exists, so the run mask R_k is empty), and
+  // the shipped service configuration, width 1024 with k = 23, whose
+  // doubling steps are 1, 2, 4, 8, 7 — the last is not a power of two.
+  // Each runs through addition with and without a carry-in mask,
+  // subtraction and the flag-only evaluator, then on all-propagate
+  // operands, where every window below bit k-1 is clamped at bit 0 and
+  // must return the carry-in.
+  struct Edge {
+    int n, k;
+  };
+  const Edge edges[] = {{1024, 23}, {100, 99}, {100, 101}, {64, 1000},
+                        {333, 332}};
+  Rng rng(0xed6e);
+  for (Isa isa : testable_isas()) {
+    const char* label = sim::isa_name(isa);
+    for (int lanes : {64, 256, 512}) {
+      const std::vector<std::uint64_t> none;
+      const std::vector<std::uint64_t> ones(
+          static_cast<std::size_t>(lanes) / 64, ~std::uint64_t{0});
+      for (const Edge& e : edges) {
+        const int k = e.k;
+        WideBatch ops(e.n, lanes);
+        sim::fill_uniform(rng, ops);
+        const auto cin = random_lane_mask(rng, lanes);
+        const auto plain = sim::wide_aca_add(ops, k, nullptr, isa);
+        expect_lanes_match_scalar(ops, none, k, plain, label);
+        expect_lanes_match_scalar(
+            ops, cin, k, sim::wide_aca_add(ops, k, cin.data(), isa), label);
+        WideBatch negated = ops;
+        for (auto& word : negated.b) word = ~word;
+        expect_lanes_match_scalar(negated, ones, k,
+                                  sim::wide_aca_sub(ops, k, isa), label);
+        ASSERT_EQ(sim::wide_aca_flag(ops, k, isa), plain.flagged)
+            << label << " n=" << e.n << " k=" << k;
+        if (HasFatalFailure()) return;
+
+        WideBatch all_p = ops;
+        for (std::size_t i = 0; i < all_p.b.size(); ++i) {
+          all_p.b[i] = ~all_p.a[i];
+        }
+        for (const auto* mask : {&none, &ones, &cin}) {
+          const auto got = sim::wide_aca_add(
+              all_p, k, mask->empty() ? nullptr : mask->data(), isa);
+          expect_lanes_match_scalar(all_p, *mask, k, got, label);
+          if (HasFatalFailure()) return;
+          for (int lane = 0; lane < lanes; ++lane) {
+            const BitVec a = sim::wide_lane_value(all_p.a, e.n, ops.words(),
+                                                  lane);
+            const BitVec carries = derived_spec_carries(
+                a, ~a,
+                sim::wide_lane_value(got.sum_spec, e.n, ops.words(), lane),
+                mask_lane(got.carry_out_spec, lane));
+            const bool lane_cin = mask_lane(*mask, lane);
+            for (int i = 0; i < e.n; ++i) {
+              // Clamped windows carry the carry-in; full ones speculate 0.
+              ASSERT_EQ(carries.bit(i), i < k - 1 && lane_cin)
+                  << label << " lane " << lane << " bit " << i
+                  << " n=" << e.n << " k=" << k;
+            }
+            ASSERT_EQ(got.flagged_lane(lane), k <= e.n) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchEngineWide, AllTiersProduceBitIdenticalOutputs) {
   // Stronger than per-lane agreement: the raw output vectors of every
   // supported tier must equal the scalar tier's word for word.
@@ -383,8 +463,6 @@ TEST(BatchEngineWide, AllTiersProduceBitIdenticalOutputs) {
       for (Isa isa : isas) {
         const auto got = sim::wide_aca_add(ops, k, cin.data(), isa);
         EXPECT_EQ(got.sum_spec, ref.sum_spec) << sim::isa_name(isa);
-        EXPECT_EQ(got.sum_exact, ref.sum_exact) << sim::isa_name(isa);
-        EXPECT_EQ(got.carry_spec, ref.carry_spec) << sim::isa_name(isa);
         EXPECT_EQ(got.carry_out_spec, ref.carry_out_spec)
             << sim::isa_name(isa);
         EXPECT_EQ(got.carry_out_exact, ref.carry_out_exact)

@@ -158,6 +158,22 @@ TEST(Formal, AcaConditionallyExactUnderFlagZero) {
   EXPECT_EQ(result.outputs_compared, 65);
 }
 
+TEST(Formal, SpeculativeCarryIdentityMatchesBuildAca) {
+  // The batch engine does not ripple each window: it computes
+  // c_spec = c_exact & ~R_k (docs/theory.md §4).  Proved equal to the
+  // shared-strip ACA on every output (sum, cout and error) with no
+  // assumptions.  k = 6 doubles by 1, 2, 3 and k = 23 by 1, 2, 4, 8,
+  // 7, so the last step is not a power of two in either.
+  for (const int k : {6, 23}) {
+    const auto reference = core::build_aca(64, k, true);
+    const auto identity = testing::build_run_mask_aca(64, k);
+    const auto result = check_equivalence_formal(identity, reference.nl);
+    EXPECT_EQ(result.verdict, FormalVerdict::Proven)
+        << "k " << k << ": " << result.summary();
+    EXPECT_EQ(result.outputs_compared, 64 + 2);
+  }
+}
+
 TEST(Formal, VlsaRecoveryPathIsExact) {
   const auto exact = adders::build_adder(adders::AdderKind::RippleCarry, 64);
   const auto vlsa = core::build_vlsa(64, 6);

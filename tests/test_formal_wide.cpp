@@ -9,6 +9,7 @@
 #include "adders/adders.hpp"
 #include "core/aca_netlist.hpp"
 #include "netlist/formal/miter.hpp"
+#include "netlist_test_util.hpp"
 
 namespace vlsa {
 namespace {
@@ -41,6 +42,19 @@ TEST(FormalWide, AcaConditionallyExactAt256And512) {
     EXPECT_EQ(result.verdict, FormalVerdict::Proven)
         << "width " << width << " k " << k << ": " << result.summary();
     EXPECT_EQ(result.outputs_compared, width + 1);
+  }
+}
+
+TEST(FormalWide, SpeculativeCarryIdentityAt256And512) {
+  // c_spec = c_exact & ~R_k, the batch engine's formula, against the
+  // shared-strip ACA on every output, with no assumptions.
+  for (const auto& [width, k] : {std::pair{256, 8}, std::pair{512, 9}}) {
+    const auto reference = core::build_aca(width, k, true);
+    const auto identity = testing::build_run_mask_aca(width, k);
+    const auto result = check_equivalence_formal(identity, reference.nl);
+    EXPECT_EQ(result.verdict, FormalVerdict::Proven)
+        << "width " << width << " k " << k << ": " << result.summary();
+    EXPECT_EQ(result.outputs_compared, width + 2);
   }
 }
 

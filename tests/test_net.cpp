@@ -26,6 +26,7 @@
 #include "core/aca.hpp"
 #include "net/admin.hpp"
 #include "net/client.hpp"
+#include "net/notifier.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "service/service.hpp"
@@ -690,6 +691,39 @@ TEST(NetLoopback, GracefulShutdownDrainsOutstanding) {
   EXPECT_EQ(ok, 500);
   EXPECT_EQ(server->active_connections(), 0);
   server.reset();  // second shutdown via destructor: must be a no-op
+}
+
+TEST(NetNotifier, PushAfterFinalTakeFreesTheConnection) {
+  // The drain order that leaked a Connection: a completion callback
+  // drops `inflight`, the loop sees the connection quiet, destroys it,
+  // makes its final take and exits, and only then does the callback
+  // push.  A connection holds its notifier, so a push that parked it
+  // would close a shared_ptr cycle.  Forced here step by step.
+  struct FakeConnection {
+    std::shared_ptr<net::detail::Notifier<FakeConnection>> notifier;
+  };
+  using Notifier = net::detail::Notifier<FakeConnection>;
+  auto loop_ref = std::make_shared<Notifier>();
+  auto conn = std::make_shared<FakeConnection>();
+  conn->notifier = loop_ref;
+  const std::weak_ptr<FakeConnection> conn_alive = conn;
+  const std::weak_ptr<Notifier> notifier_alive = loop_ref;
+
+  // While the loop runs, a push parks the connection for take().
+  conn->notifier->push(conn);
+  conn->notifier->push(nullptr);
+  EXPECT_EQ(loop_ref->take().size(), 2u);
+
+  // The loop exits: final close-and-take, then its reference goes.
+  EXPECT_TRUE(loop_ref->close_and_take().empty());
+  loop_ref.reset();
+
+  // The late completion push, then the callback releases its copy.
+  conn->notifier->push(conn);
+  conn->notifier->push(nullptr);
+  conn.reset();
+  EXPECT_TRUE(conn_alive.expired());
+  EXPECT_TRUE(notifier_alive.expired());
 }
 
 TEST(NetLoopback, ServerRefusesPumpModeService) {

@@ -67,6 +67,24 @@ TEST(RngSplit, ChildIsNotAPrefixOfTheParentStream) {
   EXPECT_TRUE(any_diff);
 }
 
+TEST(RngFill, EqualsSuccessiveNextU64Draws) {
+  // fill() is the bulk form of next_u64(): the same values in the same
+  // order, and the generator ends in the same state.  Sizes include 0,
+  // 1 and odd lengths.
+  for (const std::size_t size : {0, 1, 7, 64, 1000}) {
+    Rng bulk(0x9e37 + size);
+    Rng one(0x9e37 + size);
+    std::vector<std::uint64_t> words(size);
+    bulk.fill(words);
+    for (std::size_t i = 0; i < size; ++i) {
+      ASSERT_EQ(words[i], one.next_u64()) << "size " << size << " i " << i;
+    }
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(bulk.next_u64(), one.next_u64()) << "size " << size;
+    }
+  }
+}
+
 TEST(ThreadPool, RunsEveryJobExactlyOnce) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -134,6 +152,59 @@ TEST(BatchMonteCarlo, TalliesAreIdenticalAcrossThreadCounts) {
     EXPECT_EQ(got.tally.flagged, base.tally.flagged) << threads;
     EXPECT_EQ(got.tally.wrong, base.tally.wrong) << threads;
     EXPECT_EQ(got.tally.run_histogram, base.tally.run_histogram) << threads;
+  }
+}
+
+// FNV-1a over the run histogram: one number pins every bucket.
+std::uint64_t histogram_digest(const std::vector<long long>& histogram) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const long long count : histogram) {
+    h = (h ^ static_cast<std::uint64_t>(count)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(BatchMonteCarlo, GoldenTalliesAreBitIdentical) {
+  // Tallies recorded from the O(n·k) windowed-ripple kernel, before the
+  // engine evaluated c_spec = c_exact & ~R_k.  Any kernel, RNG-fill or
+  // sharding change must reproduce them exactly, on every ISA tier: the
+  // lane count is pinned, so the operand stream is too.  The grid
+  // covers 64/256/512 lanes, addition and subtraction, and windows
+  // both below and above log2 n (k = 23 at width 1024 is the shipped
+  // service configuration).
+  struct Golden {
+    int width, window, lanes;
+    bool subtract;
+    long long flagged, wrong;
+    std::uint64_t runs_digest;
+  };
+  const Golden cases[] = {
+      {333, 6, 512, false, 244790, 191564, 13935205667413737797ULL},
+      {1024, 10, 512, false, 103109, 57738, 10028274539768297141ULL},
+      {256, 8, 256, true, 101784, 57198, 11724384190467342049ULL},
+      {64, 3, 64, false, 260694, 231557, 7197162475169420329ULL},
+      {64, 10, 64, true, 6987, 3670, 7197162475169420329ULL},
+      {1024, 23, 256, false, 7, 4, 13964206040274413927ULL},
+      {100, 12, 512, true, 2948, 1521, 11687787392158002057ULL},
+  };
+  for (const Golden& g : cases) {
+    BatchMcConfig config;
+    config.width = g.width;
+    config.window = g.window;
+    config.lanes = g.lanes;
+    config.subtract = g.subtract;
+    config.trials = 1 << 18;
+    config.seed = 0xfeed;
+    config.threads = 2;
+    const auto got = run_batch_monte_carlo(config);
+    const auto& t = got.tally;
+    EXPECT_EQ(t.trials, 1 << 18);
+    EXPECT_EQ(t.flagged, g.flagged)
+        << "n=" << g.width << " k=" << g.window << " lanes=" << g.lanes;
+    EXPECT_EQ(t.wrong, g.wrong)
+        << "n=" << g.width << " k=" << g.window << " lanes=" << g.lanes;
+    EXPECT_EQ(histogram_digest(t.run_histogram), g.runs_digest)
+        << "n=" << g.width << " k=" << g.window << " lanes=" << g.lanes;
   }
 }
 
