@@ -7,12 +7,12 @@
 // shutdown never hangs in accept) plus N event-loop threads.  Each
 // accepted connection is pinned to one loop round-robin; all of its
 // socket I/O, decoding, and epoll bookkeeping happen on that loop
-// thread.  Completions arrive on *service* threads (dispatcher fast
-// path or recovery lane): the completion callback encodes the response
-// into the connection's pending buffer and wakes the owning loop
-// through an eventfd — the loop does the actual write.  Nothing in the
-// request path ever blocks an event loop: submission into the service
-// uses try-semantics only (AdderService::try_submit_callback).
+// thread.  Completions arrive on the service's dispatcher threads,
+// flagged or not: the completion callback encodes the response into
+// the connection's pending buffer and wakes the owning loop through an
+// eventfd — the loop does the actual write.  Nothing in the request
+// path ever blocks an event loop: submission into the service uses
+// try-semantics only (AdderService::try_submit_callback).
 //
 // Backpressure maps the service's overflow policy onto the socket:
 //

@@ -3,11 +3,12 @@
 //
 // Any number of producers push requests; any number of dispatcher
 // workers pop them *in batches* so one queue transaction amortizes over
-// up to 64 requests (the batch engine's lane count).  The bound is the
-// backpressure mechanism: when the queue is full, `try_push` fails
-// immediately (reject policy) and `push_block` waits for space (block
-// policy), so overload degrades into rejections or producer throttling
-// instead of unbounded memory growth.
+// up to `max_batch` requests (by default the engine's SIMD lane count,
+// 64 to 512).  The bound is the backpressure mechanism: when the queue
+// is full, `try_push` fails immediately (reject policy) and
+// `push_block` waits for space (block policy), so overload degrades
+// into rejections or producer throttling instead of unbounded memory
+// growth.
 //
 // `pop_batch` implements the batching scheduler's max-linger: it waits
 // for the first item, then keeps collecting until either `max` items

@@ -115,9 +115,7 @@ AdderService::AdderService(const ServiceConfig& config,
   const auto n_shards = static_cast<std::size_t>(config_.shards);
   shards_.reserve(n_shards);
   for (std::size_t i = 0; i < n_shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(
-        config_.queue_capacity,
-        config_.queue_capacity + sim::kMaxBatchLanes));
+    shards_.push_back(std::make_unique<Shard>(config_.queue_capacity));
   }
   // Per-shard labeled metrics only above one shard: single-shard
   // snapshots must stay byte-identical to the pre-sharding service
@@ -148,8 +146,6 @@ AdderService::AdderService(const ServiceConfig& config,
       if (config_.pin_threads) {
         for (auto& worker : shard.workers) pin_to_core(worker, i);
       }
-      shard.recovery_worker =
-          std::thread([this, &shard] { recovery_loop(shard); });
     }
   }
 }
@@ -358,13 +354,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
       config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
   if (!steal) {
     while (shard.queue.pop_batch(batch, max_batch, config_.max_linger) > 0) {
-      // Depth is sampled per batch, not per submission: the gauge is a
-      // load indicator and must stay off the producers' hot path.
-      const auto depth = static_cast<long long>(shard.queue.size());
-      queue_depth_.set(depth);
-      if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
-      dispatch(batch, scratch, shard, shard_index, false,
-               &shard.recovery_queue);
+      dispatch(batch, scratch, shard, shard_index, false);
       batch.clear();
     }
     return;
@@ -379,11 +369,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
     const auto result = shard.queue.pop_batch_for(
         batch, max_batch, config_.max_linger, kStealPoll);
     if (result.taken > 0) {
-      const auto depth = static_cast<long long>(shard.queue.size());
-      queue_depth_.set(depth);
-      if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
-      dispatch(batch, scratch, shard, shard_index, false,
-               &shard.recovery_queue);
+      dispatch(batch, scratch, shard, shard_index, false);
       batch.clear();
       continue;
     }
@@ -392,8 +378,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
     // so a refilling home queue preempts further stealing.
     for (;;) {
       if (shard.queue.try_pop_batch(batch, max_batch) > 0) {
-        dispatch(batch, scratch, shard, shard_index, false,
-                 &shard.recovery_queue);
+        dispatch(batch, scratch, shard, shard_index, false);
         batch.clear();
         break;
       }
@@ -401,8 +386,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
         // Stolen work runs on OUR engine and recovery lane, clocked by
         // OUR vclock — provenance lands in service.stolen{shard=us},
         // Completion::shard, and the trace shard id.
-        dispatch(batch, scratch, shard, shard_index, true,
-                 &shard.recovery_queue);
+        dispatch(batch, scratch, shard, shard_index, true);
         batch.clear();
         continue;
       }
@@ -411,19 +395,14 @@ void AdderService::worker_loop(std::size_t shard_index) {
   }
 }
 
-void AdderService::recovery_loop(Shard& shard) {
-  std::vector<RecoveryItem> items;
-  while (shard.recovery_queue.pop_batch(items, sim::kMaxBatchLanes,
-                                        std::chrono::microseconds{0}) > 0) {
-    for (auto& item : items) recover_one(std::move(item));
-    items.clear();
-  }
-}
-
 std::size_t AdderService::dispatch(std::vector<Request>& batch,
                                    sim::WideResult& scratch, Shard& shard,
-                                   std::size_t shard_index, bool stolen,
-                                   BoundedQueue<RecoveryItem>* recovery) {
+                                   std::size_t shard_index, bool stolen) {
+  // Depth is sampled per batch, not per submission: the gauge is a
+  // load indicator and must stay off the producers' hot path.
+  const auto depth = static_cast<long long>(shard.queue.size());
+  queue_depth_.set(depth);
+  if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
   const int width = config_.pipeline.width;
   const int window = config_.pipeline.window;
   // Evaluate at the smallest lane count that fits this batch: a
@@ -442,16 +421,18 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
 
   // Tracing gates, resolved once per batch: `tracing` is the single
   // relaxed load that keeps the idle cost at one branch; `sampled`
-  // gates the detail events for this whole batch; recovery-path events
-  // additionally honor the session's always-on-recovery knob.
+  // gates the detail events for this whole batch; the recovery span
+  // follows the session's always-on-recovery knob, and `er-check` fires
+  // under either.
   const bool tracing = trace::enabled();
   const bool sampled = tracing && trace::sample();
-  const bool trace_recovery = sampled || (tracing && trace::sample_recovery());
+  const bool trace_recovery = tracing && trace::sample_recovery();
+  const bool trace_er_check = sampled || trace_recovery;
   const auto batch_id = static_cast<std::uint64_t>(round);
 
   // Operands are *moved* into the transpose input — the fast path never
-  // needs them again, and the rare flagged lane takes its pair back
-  // below before heading to the recovery lane.
+  // needs them again, and a flagged lane reads its pair from `pairs`
+  // for the exact add.
   const std::uint64_t t_pack = sampled ? trace::now_ns() : 0;
   std::vector<std::pair<BitVec, BitVec>> pairs;
   pairs.reserve(batch.size());
@@ -498,172 +479,109 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   if (batch.size() > 8) {
     sums = sim::wide_lane_values(scratch.sum_spec, width, lanes);
   }
-  // Fast-path telemetry is aggregated over the batch: requests that
-  // arrived in the same cycle (every submit_many chunk) share one
-  // latency, so runs collapse into one record_n and the counters into
-  // one increment each — otherwise 8 workers serialize on these cache
-  // lines and telemetry becomes the throughput ceiling.
-  long long n_fast = 0;
+  // Telemetry is aggregated over the batch: requests that arrived in
+  // the same cycle (every submit_many chunk) share one latency, so runs
+  // collapse into one record_n and the counters into one increment each
+  // — otherwise 8 workers serialize on these cache lines and telemetry
+  // becomes the throughput ceiling.
+  long long n_recovered = 0, n_wrong = 0;
   std::uint64_t run_value = 0, run_count = 0;
   for (std::size_t lane = 0; lane < batch.size(); ++lane) {
     Request& request = batch[lane];
-    const bool flagged = scratch.flagged_lane(static_cast<int>(lane));
-    const bool wrong = scratch.wrong_lane(static_cast<int>(lane));
-    if (!flagged) {
+    Completion completion;
+    completion.flagged = scratch.flagged_lane(static_cast<int>(lane));
+    completion.shard = static_cast<int>(shard_index);
+    trace::EventArgs args;
+    args.batch = batch_id;
+    args.lane = static_cast<int>(lane);
+    args.k = window;
+    args.er = completion.flagged ? 1 : 0;
+    args.shard = trace_shard;
+    // Queue-wait needs the arrival timestamp, which only exists when
+    // wall-clock recording is on.
+    if (sampled && config_.record_wall_time) {
+      trace::emit_complete(trace::EventName::kQueueWait,
+                           trace::to_session_ns(request.arrival_time), args);
+    }
+    if (!completion.flagged) {
       // Soundness: ER clear implies the speculative sum is exact.
-      Completion completion;
       completion.sum =
           sums.empty()
               ? sim::wide_lane_value(scratch.sum_spec, width, lanes / 64,
                                      static_cast<int>(lane))
               : std::move(sums[lane]);
-      completion.shard = static_cast<int>(shard_index);
       // Clamped at the 1-cycle floor: a STOLEN request was stamped
       // against its home shard's clock but completes on the thief's,
       // and the two clocks are unordered.
       completion.latency_cycles =
           std::max<long long>(1, round + 1 - request.arrival_cycle);
-      const auto cycles =
-          static_cast<std::uint64_t>(completion.latency_cycles);
-      if (run_count > 0 && cycles != run_value) {
-        latency_cycles_.record_n(run_value, run_count);
-        run_count = 0;
+      if (sampled) trace::emit_instant(trace::EventName::kComplete, args);
+    } else {
+      completion.speculative_wrong =
+          scratch.wrong_lane(static_cast<int>(lane));
+      if (trace_er_check) {
+        trace::emit_instant(trace::EventName::kErCheck, args);
       }
-      run_value = cycles;
-      ++run_count;
-      if (config_.record_wall_time) {
-        const auto elapsed =
-            std::chrono::steady_clock::now() - request.arrival_time;
-        latency_ns_.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-                .count()));
+      {
+        // The recovery lane is a serial resource PER SHARD: it picks the
+        // request up no earlier than the cycle after detection and holds
+        // it for recovery_cycles — queued flags congest, fattening the
+        // tail of the shard they flagged on.
+        util::LockGuard lock(shard.recovery_clock_mutex);
+        shard.recovery_free_at =
+            std::max(shard.recovery_free_at, round + 1) +
+            config_.pipeline.recovery_cycles;
+        completion.latency_cycles = std::max<long long>(
+            1, shard.recovery_free_at - request.arrival_cycle);
       }
-      if (sampled) {
-        trace::EventArgs args;
-        args.batch = batch_id;
-        args.lane = static_cast<int>(lane);
-        args.k = window;
-        args.er = 0;
-        args.shard = trace_shard;
-        // Queue-wait needs the arrival timestamp, which only exists
-        // when wall-clock recording is on.
-        if (config_.record_wall_time) {
-          trace::emit_complete(trace::EventName::kQueueWait,
-                               trace::to_session_ns(request.arrival_time),
-                               args);
-        }
+      // Recompute the sum exactly — the software twin of the paper's
+      // recovery adder stage.
+      const auto& [a, b] = pairs[lane];
+      const std::uint64_t t_start = trace_recovery ? trace::now_ns() : 0;
+      completion.sum = a.add_with_carry(b).sum;
+      if (config_.postmortem != nullptr) {
+        config_.postmortem->record(a, b, window, completion.speculative_wrong,
+                                   batch_id, args.lane, t_start);
+      }
+      if (trace_recovery) {
+        args.chain = core::longest_propagate_chain(a, b);
+        args.a_lo = a.limbs()[0];
+        args.b_lo = b.limbs()[0];
+        args.has_operands = true;
+        trace::emit_complete(trace::EventName::kRecovery, t_start, args);
         trace::emit_instant(trace::EventName::kComplete, args);
       }
-      deliver(request, std::move(completion));
-      ++n_fast;
-      continue;
+      ++n_recovered;
+      if (completion.speculative_wrong) ++n_wrong;
     }
-    RecoveryItem item;
-    item.speculative_wrong = wrong;
-    item.batch = batch_id;
-    item.lane = static_cast<int>(lane);
-    item.shard = static_cast<int>(shard_index);
-    if (trace_recovery) {
-      trace::EventArgs args;
-      args.batch = batch_id;
-      args.lane = static_cast<int>(lane);
-      args.k = window;
-      args.er = 1;
-      args.shard = trace_shard;
-      if (sampled && config_.record_wall_time) {
-        trace::emit_complete(trace::EventName::kQueueWait,
-                             trace::to_session_ns(request.arrival_time),
-                             args);
-      }
-      trace::emit_instant(trace::EventName::kErCheck, args);
+    const auto cycles = static_cast<std::uint64_t>(completion.latency_cycles);
+    if (run_count > 0 && cycles != run_value) {
+      latency_cycles_.record_n(run_value, run_count);
+      run_count = 0;
     }
-    {
-      // The recovery lane is a serial resource PER SHARD: it picks the
-      // request up no earlier than the cycle after detection and holds
-      // it for recovery_cycles — queued flags congest, fattening the
-      // tail of the shard they flagged on.
-      util::LockGuard lock(shard.recovery_clock_mutex);
-      shard.recovery_free_at =
-          std::max(shard.recovery_free_at, round + 1) +
-          config_.pipeline.recovery_cycles;
-      item.latency_cycles = std::max<long long>(
-          1, shard.recovery_free_at - request.arrival_cycle);
+    run_value = cycles;
+    ++run_count;
+    if (config_.record_wall_time) {
+      const auto elapsed =
+          std::chrono::steady_clock::now() - request.arrival_time;
+      latency_ns_.record(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
+              .count()));
     }
-    request.a = std::move(pairs[lane].first);
-    request.b = std::move(pairs[lane].second);
-    item.request = std::move(request);
-    if (recovery != nullptr) {
-      recovery->push_block(std::move(item));
-    } else {
-      recover_one(std::move(item));
-    }
+    deliver(request, std::move(completion));
   }
   if (run_count > 0) latency_cycles_.record_n(run_value, run_count);
-  if (n_fast > 0) {
-    fast_path_.increment(n_fast);
-    completed_.increment(n_fast);
-    if (shard.completed != nullptr) shard.completed->increment(n_fast);
-    inflight_.fetch_sub(n_fast, std::memory_order_acq_rel);
+  const auto n = static_cast<long long>(batch.size());
+  completed_.increment(n);
+  if (shard.completed != nullptr) shard.completed->increment(n);
+  if (n > n_recovered) fast_path_.increment(n - n_recovered);
+  if (n_recovered > 0) {
+    recovered_.increment(n_recovered);
+    if (shard.recovered != nullptr) shard.recovered->increment(n_recovered);
   }
+  if (n_wrong > 0) wrong_.increment(n_wrong);
+  inflight_.fetch_sub(n, std::memory_order_acq_rel);
   return batch.size();
-}
-
-void AdderService::recover_one(RecoveryItem item) {
-  const bool trace_recovery = trace::enabled() && trace::sample_recovery();
-  const std::uint64_t t_start = trace_recovery ? trace::now_ns() : 0;
-  // The recovery lane recomputes the sum exactly — the software twin of
-  // the paper's recovery adder stage.
-  auto exact = item.request.a.add_with_carry(item.request.b);
-  if (config_.postmortem != nullptr) {
-    config_.postmortem->record(item.request.a, item.request.b,
-                               config_.pipeline.window,
-                               item.speculative_wrong, item.batch, item.lane,
-                               t_start);
-  }
-  if (trace_recovery) {
-    trace::EventArgs args;
-    args.batch = item.batch;
-    args.lane = item.lane;
-    args.k = config_.pipeline.window;
-    args.er = 1;
-    args.shard = config_.shards > 1 ? item.shard : -1;
-    args.chain =
-        core::longest_propagate_chain(item.request.a, item.request.b);
-    args.a_lo = item.request.a.limbs()[0];
-    args.b_lo = item.request.b.limbs()[0];
-    args.has_operands = true;
-    trace::emit_complete(trace::EventName::kRecovery, t_start, args);
-    trace::emit_instant(trace::EventName::kComplete, args);
-  }
-  recovered_.increment();
-  Shard& shard = *shards_[static_cast<std::size_t>(item.shard)];
-  if (shard.recovered != nullptr) shard.recovered->increment();
-  if (item.speculative_wrong) wrong_.increment();
-  Completion completion;
-  completion.sum = std::move(exact.sum);
-  completion.flagged = true;
-  completion.speculative_wrong = item.speculative_wrong;
-  completion.latency_cycles = item.latency_cycles;
-  completion.shard = item.shard;
-  complete(item.request, std::move(completion));
-}
-
-void AdderService::complete(Request& request, Completion completion) {
-  latency_cycles_.record(
-      static_cast<std::uint64_t>(completion.latency_cycles));
-  if (config_.record_wall_time) {
-    const auto elapsed =
-        std::chrono::steady_clock::now() - request.arrival_time;
-    latency_ns_.record(static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-            .count()));
-  }
-  if (!completion.flagged) fast_path_.increment();
-  completed_.increment();
-  Shard& shard = *shards_[static_cast<std::size_t>(completion.shard)];
-  if (shard.completed != nullptr) shard.completed->increment();
-  deliver(request, std::move(completion));
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
 void AdderService::deliver(Request& request, Completion&& completion) {
@@ -691,10 +609,7 @@ std::size_t AdderService::pump() {
       continue;
     }
     pump_next_ = (idx + 1) % n_shards;
-    const auto depth = static_cast<long long>(shard.queue.size());
-    queue_depth_.set(depth);
-    if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
-    return dispatch(batch, scratch, shard, idx, false, nullptr);
+    return dispatch(batch, scratch, shard, idx, false);
   }
   return 0;
 }
@@ -717,12 +632,7 @@ void AdderService::close() {
   //   1. close EVERY submission queue — no shard accepts new work;
   //   2. join EVERY dispatcher — each drains its own queue to the
   //      atomic closed-and-empty signal (a thief may also drain its
-  //      neighbor's leftovers, which only speeds this up);
-  //   3. only then close the recovery queues and join their workers —
-  //      dispatch() ignores push_block's return, so a recovery queue
-  //      must outlive every thread that might still push into it.
-  // Closing recovery queues shard-by-shard interleaved with step 2
-  // would reintroduce the drain race the mc suite pins.
+  //      neighbor's leftovers, which only speeds this up).
   for (auto& shard : shards_) shard->queue.close();
   if (config_.workers == 0) {
     while (pump() > 0) {
@@ -730,10 +640,6 @@ void AdderService::close() {
   } else {
     for (auto& shard : shards_) {
       for (auto& worker : shard->workers) worker.join();
-    }
-    for (auto& shard : shards_) shard->recovery_queue.close();
-    for (auto& shard : shards_) {
-      if (shard->recovery_worker.joinable()) shard->recovery_worker.join();
     }
   }
   close_finished_ = true;

@@ -12,11 +12,13 @@
 // them in ONE `wide_aca_add` call, and complete the unflagged majority
 // immediately — soundness (`wrong & ~flagged == 0`, tested in
 // tests/test_batch_engine.cpp) guarantees the fast path returns the
-// exact sum.  Flagged requests detour through a serial *recovery lane*
-// that recomputes the exact sum and models
-// `PipelineConfig::recovery_cycles` of extra service time per request,
-// so adversarial traffic (long propagate chains) visibly congests the
-// tail instead of averaging away.
+// exact sum.  The same dispatcher recomputes each flagged request's
+// exact sum in place and charges it to a modeled serial *recovery
+// lane*: `PipelineConfig::recovery_cycles` of extra service time per
+// request, so adversarial traffic (long propagate chains) visibly
+// congests the tail instead of averaging away.  The lane is a cycle
+// model, not a thread — like the paper's VLSA, which stalls the same
+// unit for the recovery cycles.
 //
 // Two clocks. (1) Wall time: nanosecond latency histograms, for real
 // throughput numbers (optional — `record_wall_time`). (2) A modeled
@@ -40,13 +42,13 @@
 // are schedule-independent; histogram shapes vary with load.
 //
 // Sharding (`ServiceConfig::shards`, docs/scaling.md): above one shard
-// the service becomes N independent {queue, engine, recovery lane}
+// the service becomes N independent {queue, dispatchers, clocks}
 // units — the single global MPMC queue stops being the serialization
 // point.  Submissions route by operand hash or round-robin
 // (`RoutePolicy`); idle workers can steal a neighbor shard's backlog
 // (`StealPolicy::Neighbor`); workers optionally pin to cores.  Each
 // shard owns a modeled cycle clock (one VLSA functional unit per
-// shard), its own serial recovery lane, and labeled per-shard metrics
+// shard), its own modeled recovery lane, and labeled per-shard metrics
 // ("service.submitted{shard=3}").  shards == 1 is byte-for-byte the
 // pre-sharding service — no routing, no labels, same snapshots.
 
@@ -110,7 +112,7 @@ struct ServiceConfig {
   /// dispatchers, so the effective total (reflected back into this
   /// field by the constructor) is never below `shards`.
   int workers = 1;
-  /// Shard count: independent {queue, engine, recovery lane} units.
+  /// Shard count: independent {queue, dispatchers, clocks} units.
   /// 1 (the default) is byte-for-byte the pre-sharding service: one
   /// queue, no routing, no per-shard metric labels.  Each shard models
   /// one VLSA functional unit with its own cycle clock, so the modeled
@@ -176,8 +178,8 @@ class AdderService {
                         telemetry::Registry* registry = nullptr);
 
   /// Drains: every accepted request is completed before destruction
-  /// returns (workers joined, recovery lane flushed, pump-mode leftovers
-  /// pumped).  No promise is ever dropped.
+  /// returns (workers joined, pump-mode leftovers pumped).  No promise
+  /// is ever dropped.
   ~AdderService();
 
   AdderService(const AdderService&) = delete;
@@ -192,7 +194,7 @@ class AdderService {
   std::optional<std::future<Completion>> submit(BitVec a, BitVec b);
 
   /// Submit a batch of additions in one queue transaction — the
-  /// producer-side mirror of the dispatcher's 64-wide batching, and the
+  /// producer-side mirror of the dispatcher's lane-wide batching, and the
   /// way to saturate the service (per-submission locking caps a
   /// producer long before the batch engine does).  Element i of the
   /// result corresponds to ops[i]; std::nullopt marks a rejected
@@ -203,9 +205,9 @@ class AdderService {
 
   /// Completion delivery for callers that cannot block on a future —
   /// the network front-end's event loops (src/net/server.cpp).  The
-  /// callback runs on whichever service thread completes the request
-  /// (dispatcher fast path or recovery lane), so it must be cheap and
-  /// must not call back into submit paths.
+  /// callback runs on the dispatcher that evaluated the request (the
+  /// pump() caller in pump mode), so it must be cheap and must not call
+  /// back into submit paths.
   using CompletionCallback = std::function<void(Completion)>;
 
   /// Non-blocking submit with callback completion: pushes with
@@ -222,9 +224,9 @@ class AdderService {
   bool try_submit_callback(BitVec&& a, BitVec&& b,
                            CompletionCallback callback);
 
-  /// Pump mode only: dispatch at most one batch (plus its recovery
-  /// work) on the calling thread.  Returns requests completed; 0 when
-  /// the queue is empty.
+  /// Pump mode only: dispatch and complete at most one batch on the
+  /// calling thread.  Returns requests completed; 0 when the queue is
+  /// empty.
   std::size_t pump();
 
   /// Block until every accepted request has completed.
@@ -273,28 +275,17 @@ class AdderService {
     long long arrival_cycle = 0;
     std::chrono::steady_clock::time_point arrival_time;
   };
-  struct RecoveryItem {
-    Request request;
-    bool speculative_wrong = false;
-    long long latency_cycles = 0;  ///< modeled, fixed at dispatch time
-    std::uint64_t batch = 0;       ///< dispatch round that flagged it
-    int lane = -1;                 ///< lane within that batch
-    int shard = 0;                 ///< shard whose recovery lane runs it
-  };
 
   /// One shard: a complete, independent copy of the pre-sharding
   /// service's data plane — submission queue, dispatcher threads,
-  /// recovery lane, modeled clocks — plus its labeled metrics.  Shards
-  /// share only the engine code, the registry, and the global
-  /// inflight/closed bookkeeping.
+  /// modeled clocks — plus its labeled metrics.  Shards share only the
+  /// engine code, the registry, and the global inflight/closed
+  /// bookkeeping.
   struct Shard {
-    Shard(std::size_t queue_capacity, std::size_t recovery_capacity)
-        : queue(queue_capacity), recovery_queue(recovery_capacity) {}
+    explicit Shard(std::size_t queue_capacity) : queue(queue_capacity) {}
 
     BoundedQueue<Request> queue;
-    BoundedQueue<RecoveryItem> recovery_queue;
     std::vector<std::thread> workers;
-    std::thread recovery_worker;
 
     /// This shard's modeled cycle clock (1 tick per dispatched batch).
     /// Relaxed everywhere, same audit as the old global vclock below.
@@ -333,17 +324,14 @@ class AdderService {
   std::size_t admit(std::span<Request> requests, Admission mode,
                     OnMiss&& on_miss);
   void worker_loop(std::size_t shard_index);
-  void recovery_loop(Shard& shard);
-  /// Evaluate one batch on `shard`'s engine; flagged lanes go to
-  /// `recovery` (worker mode) or are recovered inline when
-  /// `recovery == nullptr` (pump mode).  `stolen` marks a batch the
+  /// Evaluate one batch on `shard`'s engine and complete every lane on
+  /// the calling thread, in lane order: unflagged lanes take the
+  /// speculative sum, flagged lanes the exact one, charged to the
+  /// shard's modeled recovery lane.  `stolen` marks a batch the
   /// executing worker took from a neighbor's queue.
   std::size_t dispatch(std::vector<Request>& batch,
                        sim::WideResult& scratch, Shard& shard,
-                       std::size_t shard_index, bool stolen,
-                       BoundedQueue<RecoveryItem>* recovery);
-  void recover_one(RecoveryItem item);
-  void complete(Request& request, Completion completion);
+                       std::size_t shard_index, bool stolen);
   /// Hand the finished completion to whichever channel the request
   /// carries (callback or promise).
   static void deliver(Request& request, Completion&& completion);
@@ -366,12 +354,11 @@ class AdderService {
   //  * rr_next_ — relaxed fetch_add; a rotation ticket, publishes
   //    nothing.
   //  * inflight_ — fetch_add/fetch_sub acq_rel, loads acquire.  The
-  //    release half of each decrement orders the promise fulfillment
-  //    (set_value) before the count drop, so a flush() that observes 0
-  //    with an acquire load happens-after every completion it waited
-  //    for.  The increment side could be relaxed, but submit/complete
-  //    share one helper pattern and the cost is unmeasurable off the
-  //    per-batch path.
+  //    release half of each decrement orders the batch's deliveries and
+  //    counter increments before the count drop, so a flush() that
+  //    observes 0 with an acquire load happens-after every completion
+  //    it waited for and sees final counters.  The increment side could
+  //    be relaxed; the cost is unmeasurable off the per-batch path.
   //  * closed_ — store release in close(), load acquire in the submit
   //    paths: a submitter that sees closed_ == true also sees the
   //    queue close() calls that preceded the store (it will observe

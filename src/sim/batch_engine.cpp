@@ -109,20 +109,6 @@ WideResult wide_aca_sub(const WideBatch& ops, int k, Isa isa) {
   return out;
 }
 
-std::vector<std::uint64_t> wide_aca_flag(const WideBatch& ops, int k,
-                                         Isa isa) {
-  check_wide(ops, k);
-  const int words = ops.words();
-  std::vector<std::uint64_t> flagged(static_cast<std::size_t>(words), 0);
-  std::vector<std::uint64_t> runs(ops.a.size());
-  const detail::Kernels* kn = detail::kernels_for(isa, words);
-  for (int w0 = 0; w0 < words; w0 += kn->group_words) {
-    kn->flag_only(ops.a.data(), ops.b.data(), ops.width, words, w0, k,
-                  runs.data(), flagged.data());
-  }
-  return flagged;
-}
-
 std::vector<int> wide_longest_runs(const WideBatch& ops, Isa isa) {
   check_wide(ops, /*k=*/1);
   const int words = ops.words();

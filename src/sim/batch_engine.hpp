@@ -128,10 +128,6 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
 [[nodiscard]] WideResult wide_aca_sub(const WideBatch& ops, int k,
                                       Isa isa = active_isa());
 
-/// Just the ER lane mask (`ops.words()` words).
-[[nodiscard]] std::vector<std::uint64_t> wide_aca_flag(
-    const WideBatch& ops, int k, Isa isa = active_isa());
-
 /// Per-lane longest propagate chain (`ops.lanes` entries).
 [[nodiscard]] std::vector<int> wide_longest_runs(const WideBatch& ops,
                                                  Isa isa = active_isa());

@@ -108,18 +108,6 @@ void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
   wrong.store(out.wrong + w0);
 }
 
-/// Just the ER lane mask for one group (matches scalar `aca_flag`).
-template <class Word>
-void kernel_flag_only(const std::uint64_t* a, const std::uint64_t* b, int n,
-                      int stride, int w0, int k, std::uint64_t* r,
-                      std::uint64_t* flagged) {
-  constexpr int G = Word::kWords;
-  kernel_run_mask<Word>(a, b, n, stride, w0, k, r);
-  Word any = Word::zero();
-  for (int i = 0; i < n; ++i) any = any | Word::load(r + i * G);
-  any.store(flagged + w0);
-}
-
 /// Per-lane longest propagate chain for one group; `runs` receives
 /// 64 * Word::kWords entries (lane order within the group).  Extend one
 /// bit per round; a lane's longest run is the last t it survived.
@@ -187,9 +175,6 @@ struct Kernels {
   void (*eval)(const std::uint64_t* a, const std::uint64_t* b, int n,
                int stride, int w0, int k, const std::uint64_t* carry_in,
                std::uint64_t* r, const EvalOut& out) = nullptr;
-  void (*flag_only)(const std::uint64_t* a, const std::uint64_t* b, int n,
-                    int stride, int w0, int k, std::uint64_t* r,
-                    std::uint64_t* flagged) = nullptr;
   void (*longest_runs)(const std::uint64_t* a, const std::uint64_t* b, int n,
                        int stride, int w0, int* runs) = nullptr;
   void (*transpose64)(std::uint64_t* t) = nullptr;
@@ -198,7 +183,6 @@ struct Kernels {
 template <class Word>
 const Kernels* make_kernels() {
   static const Kernels table{Word::kWords, &kernel_eval<Word>,
-                             &kernel_flag_only<Word>,
                              &kernel_longest_runs<Word>,
                              &kernel_transpose64<Word>};
   return &table;

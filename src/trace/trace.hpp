@@ -10,9 +10,9 @@
 // batch-pack → engine-eval → ER-check → recovery → complete) emits a
 // typed event carrying the batch id, lane index, window k, and the ER
 // flag, so a Perfetto timeline shows exactly which batch a request rode,
-// whether its lane flagged, and how long the serial recovery lane held
-// it.  Recovery spans additionally carry the operands (low 64 bits) and
-// the actual longest activated propagate-chain length — the ground truth
+// whether its lane flagged, and how long its exact recomputation took.
+// Recovery spans additionally carry the operands (low 64 bits) and the
+// actual longest activated propagate-chain length — the ground truth
 // the drift monitor (trace/drift.hpp) checks statistically.
 //
 // Design constraints, in order:
@@ -93,7 +93,7 @@ enum class EventName : std::uint8_t {
   kBatchPack = 2,  ///< span: operand transpose into the sliced batch
   kEngineEval = 3, ///< span: one wide_aca_add_into evaluation
   kErCheck = 4,    ///< instant: a lane's ER flag fired
-  kRecovery = 5,   ///< span: serial recovery-lane recomputation
+  kRecovery = 5,   ///< span: a flagged lane's exact recomputation
   kComplete = 6,   ///< instant: completion delivered to the requester
   // Socket path (src/net/server.cpp).  `batch` carries the connection
   // id, `lane` a frame count where noted.

@@ -444,46 +444,55 @@ TEST(ServiceShardedRouting, RouteIsDeterministicPerOperandPair) {
 }
 
 TEST(ServiceSharded, PerShardCompletionOrderIsFifoNoLossNoDup) {
-  // 4 shards x 1 dispatcher each, no stealing, a window that never
-  // flags: each shard's completions must be exactly its submissions in
-  // submission order — FIFO, no loss, no duplicates, and the executing
-  // shard (Completion::shard) must equal the routed shard.
-  ServiceConfig config;
-  config.pipeline.width = 64;
-  config.pipeline.window = 64;  // never flags: no recovery reordering
-  config.workers = 4;
-  config.shards = 4;
-  config.queue_capacity = 4096;
-  config.record_wall_time = false;
-  telemetry::Registry registry;
-  AdderService service(config, &registry);
-  std::mutex mutex;
-  std::array<std::vector<int>, 4> completed;
-  std::array<std::vector<int>, 4> expected;
-  workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
-                                  0xf1f0);
-  constexpr int kRequests = 4000;
-  for (int i = 0; i < kRequests; ++i) {
-    auto [a, b] = stream.next();
-    const auto shard = service.route_of(a, b);
-    expected[shard].push_back(i);
-    const bool ok = service.try_submit_callback(
-        std::move(a), std::move(b), [&mutex, &completed, i](Completion c) {
-          std::lock_guard<std::mutex> lock(mutex);
-          completed[static_cast<std::size_t>(c.shard)].push_back(i);
-        });
-    ASSERT_TRUE(ok) << "backpressure below capacity at " << i;
+  // 4 shards x 1 dispatcher each, no stealing: each shard's completions
+  // must be exactly its submissions in submission order — FIFO, no
+  // loss, no duplicates, and the executing shard (Completion::shard)
+  // must equal the routed shard.  Window 64 never flags at width 64;
+  // window 4 flags most requests, so FIFO must also hold across the
+  // recovery path.
+  for (const int window : {64, 4}) {
+    SCOPED_TRACE("window " + std::to_string(window));
+    ServiceConfig config;
+    config.pipeline.width = 64;
+    config.pipeline.window = window;
+    config.workers = 4;
+    config.shards = 4;
+    config.queue_capacity = 4096;
+    config.record_wall_time = false;
+    telemetry::Registry registry;
+    AdderService service(config, &registry);
+    std::mutex mutex;
+    std::array<std::vector<int>, 4> completed;
+    std::array<std::vector<int>, 4> expected;
+    workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
+                                    0xf1f0);
+    constexpr int kRequests = 4000;
+    for (int i = 0; i < kRequests; ++i) {
+      auto [a, b] = stream.next();
+      const auto shard = service.route_of(a, b);
+      expected[shard].push_back(i);
+      const bool ok = service.try_submit_callback(
+          std::move(a), std::move(b), [&mutex, &completed, i](Completion c) {
+            std::lock_guard<std::mutex> lock(mutex);
+            completed[static_cast<std::size_t>(c.shard)].push_back(i);
+          });
+      ASSERT_TRUE(ok) << "backpressure below capacity at " << i;
+    }
+    service.flush();
+    std::lock_guard<std::mutex> lock(mutex);
+    std::size_t total = 0;
+    for (int s = 0; s < 4; ++s) {
+      EXPECT_EQ(completed[static_cast<std::size_t>(s)],
+                expected[static_cast<std::size_t>(s)])
+          << "shard " << s << " broke per-shard FIFO";
+      total += completed[static_cast<std::size_t>(s)].size();
+    }
+    EXPECT_EQ(total, static_cast<std::size_t>(kRequests));
+    if (window == 4) {
+      EXPECT_GT(counter_value(registry.snapshot(), "service.recovered"),
+                kRequests / 2);
+    }
   }
-  service.flush();
-  std::lock_guard<std::mutex> lock(mutex);
-  std::size_t total = 0;
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(completed[static_cast<std::size_t>(s)],
-              expected[static_cast<std::size_t>(s)])
-        << "shard " << s << " broke per-shard FIFO";
-    total += completed[static_cast<std::size_t>(s)].size();
-  }
-  EXPECT_EQ(total, static_cast<std::size_t>(kRequests));
 }
 
 TEST(ServiceSharded, MultiProducerBlockCompletesAllAndLabelsAddUp) {
