@@ -57,7 +57,6 @@ service::ServiceConfig service_config() {
   config.workers = 1;
   config.max_batch = 64;
   config.queue_capacity = 4096;
-  config.max_linger = std::chrono::microseconds(100);
   config.overflow = service::OverflowPolicy::Block;
   config.record_wall_time = false;  // e2e latency is the client's view
   return config;

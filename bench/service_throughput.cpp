@@ -71,7 +71,6 @@ service::ServiceConfig base_config(int workers, int max_batch,
   config.workers = workers;
   config.max_batch = max_batch;
   config.queue_capacity = 4096;
-  config.max_linger = std::chrono::microseconds(100);
   return config;
 }
 

@@ -10,12 +10,13 @@
 // into rejections or producer throttling instead of unbounded memory
 // growth.
 //
-// `pop_batch` implements the batching scheduler's max-linger: it waits
-// for the first item, then keeps collecting until either `max` items
-// are in hand or `linger` has elapsed — full batches under load,
-// bounded added latency when arrivals are sparse.  After `close()`,
-// pushes fail, poppers drain whatever remains without lingering, and
-// then `pop_batch` returns 0 — the worker-shutdown signal.
+// `pop_batch` waits for the first item, then takes whatever else is
+// queued, up to `max`, and returns at once: it never holds a partial
+// batch open.  Batches still fill under load, because requests queue
+// while the dispatcher evaluates the previous batch, and a lone request
+// on an idle queue goes straight through.  After `close()`, pushes
+// fail, poppers drain whatever remains, and then `pop_batch` returns
+// 0 — the worker-shutdown signal.
 //
 // The locking discipline is machine-checked: every field behind
 // `mutex_` carries GUARDED_BY, so `clang++ -Wthread-safety` (the
@@ -28,7 +29,7 @@
 // production code uses the default `DefaultSync` (util::Mutex et al.,
 // zero overhead — the default instantiation is byte-identical to the
 // pre-policy queue), while the model-checker tests instantiate
-// `BoundedQueue<T, mc::Sync>` so the *exact same* push/pop/linger code
+// `BoundedQueue<T, mc::Sync>` so the *exact same* push/pop/close code
 // runs under schedule-injected primitives (src/mc/,
 // docs/model_checking.md).
 
@@ -126,11 +127,9 @@ class BoundedQueue {
   }
 
   /// Append up to `max` items to `out`.  Blocks until at least one item
-  /// is available (or the queue is closed and empty — returns 0); after
-  /// the first item, waits up to `linger` for the batch to fill.  A
-  /// closed queue drains without lingering.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max,
-                        std::chrono::microseconds linger) {
+  /// is available (or the queue is closed and empty — returns 0), then
+  /// takes what is queued without waiting for more.
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
     std::size_t taken = 0;
     bool wake = false;
     {
@@ -138,27 +137,7 @@ class BoundedQueue {
       ++waiting_consumers_;
       while (!closed_ && items_.empty()) not_empty_.wait(lock);
       --waiting_consumers_;
-      taken += take_locked(out, max);
-      if (!closed_ && taken > 0 && taken < max && linger.count() > 0) {
-        const auto deadline =
-            std::chrono::steady_clock::now() + linger;
-        while (taken < max && !closed_) {
-          ++waiting_consumers_;
-          // Timed wait for the "closed or non-empty" condition; `got`
-          // false means the linger deadline passed with nothing new.
-          bool got = true;
-          while (!closed_ && items_.empty()) {
-            if (not_empty_.wait_until(lock, deadline) ==
-                std::cv_status::timeout) {
-              got = closed_ || !items_.empty();
-              break;
-            }
-          }
-          --waiting_consumers_;
-          if (!got) break;  // linger expired
-          taken += take_locked(out, max - taken);
-        }
-      }
+      taken = take_locked(out, max);
       wake = taken > 0 && waiting_producers_ > 0;
     }
     if (wake) not_full_.notify_all();
@@ -183,12 +162,12 @@ class BoundedQueue {
 
   /// Timed variant of pop_batch for workers that must wake while their
   /// queue is idle (the work-stealing dispatchers): waits up to
-  /// `timeout` for the first item, then lingers like pop_batch.  A
-  /// `{0, false}` return means the timeout expired with the queue open
-  /// (or open-and-racing) — retry or go steal; `{_, true}` means closed
-  /// and fully drained — exit.  Never returns done with items left.
+  /// `timeout` for the first item, then takes what is queued like
+  /// pop_batch.  A `{0, false}` return means the timeout expired with
+  /// the queue open (or open-and-racing) — retry or go steal; `{_, true}`
+  /// means closed and fully drained — exit.  Never returns done with
+  /// items left.
   PopResult pop_batch_for(std::vector<T>& out, std::size_t max,
-                          std::chrono::microseconds linger,
                           std::chrono::microseconds timeout) {
     PopResult result;
     bool wake = false;
@@ -203,25 +182,7 @@ class BoundedQueue {
         }
       }
       --waiting_consumers_;
-      result.taken += take_locked(out, max);
-      if (!closed_ && result.taken > 0 && result.taken < max &&
-          linger.count() > 0) {
-        const auto deadline = std::chrono::steady_clock::now() + linger;
-        while (result.taken < max && !closed_) {
-          ++waiting_consumers_;
-          bool got = true;
-          while (!closed_ && items_.empty()) {
-            if (not_empty_.wait_until(lock, deadline) ==
-                std::cv_status::timeout) {
-              got = closed_ || !items_.empty();
-              break;
-            }
-          }
-          --waiting_consumers_;
-          if (!got) break;  // linger expired
-          result.taken += take_locked(out, max - result.taken);
-        }
-      }
+      result.taken = take_locked(out, max);
       // The load-bearing line: closed-and-empty is decided under the
       // same lock that serializes pushes, so no item can slip between
       // "nothing taken" and "we are done".

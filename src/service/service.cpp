@@ -353,7 +353,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
   const bool steal =
       config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
   if (!steal) {
-    while (shard.queue.pop_batch(batch, max_batch, config_.max_linger) > 0) {
+    while (shard.queue.pop_batch(batch, max_batch) > 0) {
       dispatch(batch, scratch, shard, shard_index, false);
       batch.clear();
     }
@@ -366,8 +366,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
   // mc two-queue suite pins down (see BoundedQueue::PopResult).
   Shard& victim = *shards_[(shard_index + 1) % shards_.size()];
   for (;;) {
-    const auto result = shard.queue.pop_batch_for(
-        batch, max_batch, config_.max_linger, kStealPoll);
+    const auto result = shard.queue.pop_batch_for(batch, max_batch, kStealPoll);
     if (result.taken > 0) {
       dispatch(batch, scratch, shard, shard_index, false);
       batch.clear();
@@ -430,9 +429,10 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   const bool trace_er_check = sampled || trace_recovery;
   const auto batch_id = static_cast<std::uint64_t>(round);
 
-  // Operands are *moved* into the transpose input — the fast path never
-  // needs them again, and a flagged lane reads its pair from `pairs`
-  // for the exact add.
+  // Operands are *moved* into the transpose input.  A fast-path lane's
+  // sum is unpacked into its own first operand, which then becomes the
+  // completion's sum, so the fast path allocates no sum; a flagged lane
+  // keeps its pair for the exact add.
   const std::uint64_t t_pack = sampled ? trace::now_ns() : 0;
   std::vector<std::pair<BitVec, BitVec>> pairs;
   pairs.reserve(batch.size());
@@ -471,14 +471,11 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   }
   batch_occupancy_.record(batch.size());
 
-  // One word-level un-transpose for the whole batch instead of a
-  // bit-at-a-time wide_lane_value() per request; tiny batches (the
-  // batch-1 baseline) extract their few lanes directly instead of
-  // paying for all 64.
-  std::vector<BitVec> sums;
-  if (batch.size() > 8) {
-    sums = sim::wide_lane_values(scratch.sum_spec, width, lanes);
-  }
+  std::vector<BitVec*> sum_slots;
+  sum_slots.reserve(pairs.size());
+  for (auto& pair : pairs) sum_slots.push_back(&pair.first);
+  sim::wide_lane_values_into(scratch.sum_spec, width, lanes, sum_slots,
+                             scratch.flagged.data());
   // Telemetry is aggregated over the batch: requests that arrived in
   // the same cycle (every submit_many chunk) share one latency, so runs
   // collapse into one record_n and the counters into one increment each
@@ -505,11 +502,7 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
     }
     if (!completion.flagged) {
       // Soundness: ER clear implies the speculative sum is exact.
-      completion.sum =
-          sums.empty()
-              ? sim::wide_lane_value(scratch.sum_spec, width, lanes / 64,
-                                     static_cast<int>(lane))
-              : std::move(sums[lane]);
+      completion.sum = std::move(pairs[lane].first);
       // Clamped at the 1-cycle floor: a STOLEN request was stamped
       // against its home shard's clock but completes on the thief's,
       // and the two clocks are unordered.

@@ -6,10 +6,10 @@
 // functional unit: many in-flight additions, almost all answered in one
 // cycle, the rare ER flag paying a recovery penalty.  This layer is the
 // system-scale version of that argument.  Producers submit operand
-// pairs into a bounded MPMC queue; dispatcher workers pop up to the
-// detected SIMD lane width of outstanding requests (64/256/512 — see
-// sim/isa.hpp; a partial batch after `max_linger`), evaluate
-// them in ONE `wide_aca_add` call, and complete the unflagged majority
+// pairs into a bounded MPMC queue; a dispatcher takes whatever its
+// queue holds, up to the detected SIMD lane width (64/256/512 — see
+// sim/isa.hpp), without waiting for more, evaluates it in ONE
+// `wide_aca_add` call, and completes the unflagged majority
 // immediately — soundness (`wrong & ~flagged == 0`, tested in
 // tests/test_batch_engine.cpp) guarantees the fast path returns the
 // exact sum.  The same dispatcher recomputes each flagged request's
@@ -130,18 +130,17 @@ struct ServiceConfig {
   /// hardware_concurrency).  Linux-only; a no-op elsewhere and off by
   /// default — pinning helps dedicated hosts and hurts shared ones.
   bool pin_threads = false;
-  /// Requests packed per batch-engine evaluation, in
+  /// Most requests packed per batch-engine evaluation, in
   /// [1, sim::active_lanes()].  0 (the default) packs to the detected
   /// SIMD lane width (64 scalar, 256 AVX2, 512 AVX-512 — or whatever
   /// VLSA_FORCE_ISA pins).  1 gives the no-batching baseline the
-  /// throughput bench compares against.  Each dispatch still evaluates
-  /// at the smallest lane count that fits the batch it actually popped
+  /// throughput bench compares against.  A dispatcher never waits for a
+  /// batch to fill: it takes what its queue holds, up to this bound,
+  /// and evaluates at the smallest lane count that fits
   /// (sim::lanes_for_batch), so small batches keep the 64-lane cost.
   int max_batch = 0;
   /// Submission queue bound, PER SHARD — the backpressure knob.
   std::size_t queue_capacity = 1024;
-  /// How long a dispatcher holds a partial batch open for latecomers.
-  std::chrono::microseconds max_linger{50};
   OverflowPolicy overflow = OverflowPolicy::Block;
   /// Record wall-clock latency histograms (service.latency_ns).  Off
   /// for bit-identical fixed-seed telemetry.  Also gates queue-wait

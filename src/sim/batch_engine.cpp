@@ -44,6 +44,42 @@ void check_wide(const WideBatch& ops, int k) {
   }
 }
 
+/// Bit i of lane j sits at bit j % 64 of word `i * words + j / 64`.
+/// These two move one lane between that layout and its limbs bit by
+/// bit — `width` word accesses, no transpose — for batches of at most
+/// kDirectLanes lanes.  deposit_lane ORs into a zeroed slice;
+/// extract_lane overwrites every limb, leaving the bits above `width`
+/// zero.
+void deposit_lane(const std::uint64_t* limbs, int width, int words, int lane,
+                  std::uint64_t* sliced) {
+  std::uint64_t* column = sliced + lane / 64;
+  const int bit = lane % 64;
+  for (int limb = 0; limb * 64 < width; ++limb) {
+    const std::uint64_t v = limbs[limb];
+    const int hi = std::min(64, width - limb * 64);
+    std::uint64_t* rows = column + static_cast<std::size_t>(limb) * 64 * words;
+    for (int i = 0; i < hi; ++i) {
+      rows[static_cast<std::size_t>(i) * words] |= ((v >> i) & 1) << bit;
+    }
+  }
+}
+
+void extract_lane(const std::uint64_t* sliced, int width, int words, int lane,
+                  std::uint64_t* limbs) {
+  const std::uint64_t* column = sliced + lane / 64;
+  const int bit = lane % 64;
+  for (int limb = 0; limb * 64 < width; ++limb) {
+    const int hi = std::min(64, width - limb * 64);
+    const std::uint64_t* rows =
+        column + static_cast<std::size_t>(limb) * 64 * words;
+    std::uint64_t v = 0;
+    for (int i = 0; i < hi; ++i) {
+      v |= ((rows[static_cast<std::size_t>(i) * words] >> bit) & 1) << i;
+    }
+    limbs[limb] = v;
+  }
+}
+
 /// Run the eval kernel group by group over a wide slice pair.  The
 /// first `n * words` words of out.scratch hold the run mask; callers
 /// may keep their own data after them.
@@ -125,7 +161,8 @@ WideBatch wide_transpose_batch(
     const std::vector<std::pair<util::BitVec, util::BitVec>>& pairs,
     int width, int lanes, Isa isa) {
   check_lanes(lanes);
-  if (static_cast<int>(pairs.size()) > lanes) {
+  const int used = static_cast<int>(pairs.size());
+  if (used > lanes) {
     throw std::invalid_argument(
         "wide_transpose_batch: more pairs than lanes");
   }
@@ -137,18 +174,27 @@ WideBatch wide_transpose_batch(
   }
   WideBatch batch(width, lanes);
   const int words = batch.words();
+  if (used <= kDirectLanes) {
+    for (int lane = 0; lane < used; ++lane) {
+      deposit_lane(pairs[lane].first.limbs().data(), width, words, lane,
+                   batch.a.data());
+      deposit_lane(pairs[lane].second.limbs().data(), width, words, lane,
+                   batch.b.data());
+    }
+    return batch;
+  }
   const int limbs = (width + 63) / 64;
   const detail::Kernels* kn = detail::kernels_for(isa, words);
   const int g_words = kn->group_words;
-  // One (gather, G-block transpose, scatter) per G lane groups x limb.
-  // The interleaved block layout kernel_transpose64 wants is the wide
-  // slice layout restricted to those groups, so the scatter side is
-  // plain contiguous copies.
+  // One (gather, G-block transpose, scatter) per filled group of G lane
+  // words x limb; groups past the last pair stay zero.  The interleaved
+  // block layout kernel_transpose64 wants is the wide slice layout
+  // restricted to those groups, so the scatter side is plain
+  // contiguous copies.
   std::vector<std::uint64_t> ta(static_cast<std::size_t>(64) * g_words);
   std::vector<std::uint64_t> tb(ta.size());
-  for (int w0 = 0; w0 < words; w0 += g_words) {
-    const int group_lanes = std::clamp(
-        static_cast<int>(pairs.size()) - w0 * 64, 0, 64 * g_words);
+  for (int w0 = 0; w0 * 64 < used; w0 += g_words) {
+    const int group_lanes = std::min(used - w0 * 64, 64 * g_words);
     for (int limb = 0; limb < limbs; ++limb) {
       std::fill(ta.begin(), ta.end(), 0);
       std::fill(tb.begin(), tb.end(), 0);
@@ -184,33 +230,53 @@ util::BitVec wide_lane_value(const std::vector<std::uint64_t>& sliced,
     throw std::invalid_argument("wide_lane_value: slice shorter than width");
   }
   util::BitVec v(width);
-  const int w = lane >> 6;
-  const int bit = lane & 63;
-  for (int i = 0; i < width; ++i) {
-    v.set_bit(i, (sliced[static_cast<std::size_t>(i) * words + w] >> bit) & 1);
-  }
+  extract_lane(sliced.data(), width, words, lane, v.limbs().data());
   return v;
 }
 
-std::vector<util::BitVec> wide_lane_values(
-    const std::vector<std::uint64_t>& sliced, int width, int lanes,
-    Isa isa) {
+void wide_lane_values_into(const std::vector<std::uint64_t>& sliced,
+                           int width, int lanes,
+                           std::span<util::BitVec* const> out,
+                           const std::uint64_t* skip, Isa isa) {
   check_lanes(lanes);
   const int words = lanes / 64;
   if (sliced.size() < static_cast<std::size_t>(width) *
                           static_cast<std::size_t>(words)) {
     throw std::invalid_argument("wide_lane_values: slice shorter than width");
   }
-  std::vector<util::BitVec> out(static_cast<std::size_t>(lanes),
-                                util::BitVec(width));
+  const int used = static_cast<int>(out.size());
+  if (used > lanes) {
+    throw std::invalid_argument("wide_lane_values: more values than lanes");
+  }
+  const auto skipped = [skip](int lane) {
+    return skip != nullptr && ((skip[lane >> 6] >> (lane & 63)) & 1) != 0;
+  };
+  int written = 0;
+  for (int lane = 0; lane < used; ++lane) {
+    if (skipped(lane)) continue;
+    if (out[lane]->width() != width) {
+      throw std::invalid_argument("wide_lane_values: value width mismatch");
+    }
+    ++written;
+  }
+  if (written <= kDirectLanes) {
+    for (int lane = 0; lane < used; ++lane) {
+      if (!skipped(lane)) {
+        extract_lane(sliced.data(), width, words, lane,
+                     out[lane]->limbs().data());
+      }
+    }
+    return;
+  }
   const int limbs = (width + 63) / 64;
   const detail::Kernels* kn = detail::kernels_for(isa, words);
   const int g_words = kn->group_words;
   // Inverse of wide_transpose_batch: the gather side is contiguous
   // copies out of the wide slice, the G-block transpose runs on the
-  // selected tier, and the scatter writes one limb per lane.
+  // selected tier, and the scatter writes one limb per written lane.
   std::vector<std::uint64_t> t(static_cast<std::size_t>(64) * g_words);
-  for (int w0 = 0; w0 < words; w0 += g_words) {
+  for (int w0 = 0; w0 * 64 < used; w0 += g_words) {
+    const int group_lanes = std::min(used - w0 * 64, 64 * g_words);
     for (int limb = 0; limb < limbs; ++limb) {
       const int hi = std::min(64, width - limb * 64);
       for (int i = 0; i < hi; ++i) {
@@ -223,15 +289,28 @@ std::vector<util::BitVec> wide_lane_values(
                   t.end(), 0);
       }
       kn->transpose64(t.data());
-      for (int idx = 0; idx < 64 * g_words; ++idx) {
-        const int g = idx / 64;
-        const int lane = idx % 64;
-        out[static_cast<std::size_t>((w0 + g) * 64 + lane)].limbs()[limb] =
-            t[static_cast<std::size_t>(lane) * g_words + g];
+      for (int idx = 0; idx < group_lanes; ++idx) {
+        const int lane = w0 * 64 + idx;
+        if (skipped(lane)) continue;
+        out[lane]->limbs()[limb] =
+            t[static_cast<std::size_t>(idx % 64) * g_words + idx / 64];
       }
     }
   }
-  return out;
+}
+
+std::vector<util::BitVec> wide_lane_values(
+    const std::vector<std::uint64_t>& sliced, int width, int lanes,
+    Isa isa) {
+  check_lanes(lanes);
+  std::vector<util::BitVec> values(static_cast<std::size_t>(lanes),
+                                   util::BitVec(width));
+  std::vector<util::BitVec*> out(values.size());
+  for (std::size_t lane = 0; lane < values.size(); ++lane) {
+    out[lane] = &values[lane];
+  }
+  wide_lane_values_into(sliced, width, lanes, out, nullptr, isa);
+  return values;
 }
 
 void fill_uniform(util::Rng& rng, WideBatch& batch) {

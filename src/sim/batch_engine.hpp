@@ -29,6 +29,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -40,6 +41,14 @@ namespace vlsa::sim {
 
 /// Widest batch any kernel tier produces (AVX-512: 8 words x 64).
 inline constexpr int kMaxBatchLanes = 512;
+
+/// Pack and unpack move at most this many lanes bit by bit, straight
+/// between limbs and the wide slice layout, and use a 64x64 block
+/// transpose per limb above it.  The direct path costs `width` word
+/// accesses per lane and operand, the block path a fixed cost per 64
+/// lanes; at width 1024 both cross near 10 lanes, so a lone service
+/// request skips the transpose.
+inline constexpr int kDirectLanes = 8;
 
 /// Smallest supported lane count that fits `count` requests — the
 /// service uses this so small batches keep the 64-lane cost.
@@ -133,10 +142,11 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
                                                  Isa isa = active_isa());
 
 /// Transpose up to `lanes` scalar operand pairs (all of `width`) into a
-/// wide batch; lanes beyond `pairs.size()` are zero.  The bit-matrix
-/// transpose itself runs on the `isa` tier (4/8 blocks per step — see
-/// wide_kernel.hpp:kernel_transpose64); the result is identical on
-/// every tier.
+/// wide batch; lanes beyond `pairs.size()` are zero.  At most
+/// kDirectLanes pairs are deposited bit by bit; more run the bit-matrix
+/// transpose on the `isa` tier (4/8 blocks per step — see
+/// wide_kernel.hpp:kernel_transpose64), over the lane groups the pairs
+/// fill.  The result is identical either way and on every tier.
 [[nodiscard]] WideBatch wide_transpose_batch(
     const std::vector<std::pair<util::BitVec, util::BitVec>>& pairs,
     int width, int lanes, Isa isa = active_isa());
@@ -145,9 +155,21 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
 [[nodiscard]] util::BitVec wide_lane_value(
     const std::vector<std::uint64_t>& sliced, int width, int words, int lane);
 
-/// Read all `lanes` lanes out of a wide-sliced signal in one pass — a
-/// word-level un-transpose, the inverse of wide_transpose_batch and
-/// far cheaper than `lanes` wide_lane_value() calls.
+/// Unpack lanes [0, out.size()) of a wide-sliced signal of `lanes`
+/// lanes into caller-owned values: every limb of `*out[j]`, which must
+/// be `width` bits wide, is overwritten with lane j.  A lane whose bit
+/// is set in the nullable lane mask `skip` is not read, and `out[j]`
+/// is then left as it is (it may be null).  At most kDirectLanes
+/// written lanes are read bit by bit; more take the word-level
+/// un-transpose, the inverse of wide_transpose_batch.
+void wide_lane_values_into(const std::vector<std::uint64_t>& sliced,
+                           int width, int lanes,
+                           std::span<util::BitVec* const> out,
+                           const std::uint64_t* skip = nullptr,
+                           Isa isa = active_isa());
+
+/// All `lanes` lanes of a wide-sliced signal as new values
+/// (wide_lane_values_into over fresh `width`-bit vectors).
 [[nodiscard]] std::vector<util::BitVec> wide_lane_values(
     const std::vector<std::uint64_t>& sliced, int width, int lanes,
     Isa isa = active_isa());

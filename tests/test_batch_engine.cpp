@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -501,28 +502,103 @@ TEST(BatchEngineWide, SubtractionPathMatchesScalar) {
   }
 }
 
+/// The documented wide layout, built bit by bit: bit i of lane j sits
+/// at bit j % 64 of word `i * words + j / 64`.
+std::vector<std::uint64_t> reference_slices(const std::vector<BitVec>& lanes_in,
+                                            int width, int lanes) {
+  const int words = lanes / 64;
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(width) * words, 0);
+  for (std::size_t j = 0; j < lanes_in.size(); ++j) {
+    for (int i = 0; i < width; ++i) {
+      if (lanes_in[j].bit(i)) {
+        out[static_cast<std::size_t>(i) * words + j / 64] |=
+            std::uint64_t{1} << (j % 64);
+      }
+    }
+  }
+  return out;
+}
+
+/// `width` bits with every limb all ones, bits above the width
+/// included: an unpack must overwrite all of it.
+BitVec all_ones_limbs(int width) {
+  BitVec v(width);
+  for (auto& limb : v.limbs()) limb = ~std::uint64_t{0};
+  return v;
+}
+
 TEST(BatchEngineWide, TransposeRoundTripOnEveryTier) {
+  // Batches of at most kDirectLanes lanes pack and unpack bit by bit,
+  // larger ones through the block transpose; both must produce the
+  // documented layout and invert it on every tier, at widths that end
+  // inside, on and just past a limb.  Equality with a canonical BitVec
+  // compares whole limbs, so it also proves the bits above the width of
+  // an all-ones destination were cleared.
   Rng rng(0x7a2);
-  const int n = 96;
+  const int cut = sim::kDirectLanes;
   for (Isa isa : testable_isas()) {
     for (int lanes : {64, 256, 512}) {
-      std::vector<std::pair<BitVec, BitVec>> pairs;
-      const int used = lanes - 27;  // deliberately a partial batch
-      for (int i = 0; i < used; ++i) {
-        pairs.emplace_back(rng.next_bits(n), rng.next_bits(n));
-      }
-      const auto ops = sim::wide_transpose_batch(pairs, n, lanes, isa);
-      const auto back_a = sim::wide_lane_values(ops.a, n, lanes, isa);
-      const auto back_b = sim::wide_lane_values(ops.b, n, lanes, isa);
-      for (int lane = 0; lane < used; ++lane) {
-        ASSERT_EQ(back_a[static_cast<std::size_t>(lane)], pairs[lane].first)
-            << sim::isa_name(isa) << " lane " << lane;
-        ASSERT_EQ(back_b[static_cast<std::size_t>(lane)], pairs[lane].second)
-            << sim::isa_name(isa) << " lane " << lane;
-      }
-      for (int lane = used; lane < lanes; ++lane) {
-        ASSERT_TRUE(back_a[static_cast<std::size_t>(lane)].is_zero());
-        ASSERT_TRUE(back_b[static_cast<std::size_t>(lane)].is_zero());
+      const int words = lanes / 64;
+      for (int n : {1, 63, 64, 65, 96, 1024}) {
+        for (int used :
+             {0, 1, 2, cut - 1, cut, cut + 1, 37, lanes - 27, lanes}) {
+          SCOPED_TRACE(std::string(sim::isa_name(isa)) + " lanes " +
+                       std::to_string(lanes) + " n " + std::to_string(n) +
+                       " used " + std::to_string(used));
+          std::vector<std::pair<BitVec, BitVec>> pairs;
+          std::vector<BitVec> as, bs;
+          for (int i = 0; i < used; ++i) {
+            as.push_back(rng.next_bits(n));
+            bs.push_back(rng.next_bits(n));
+            pairs.emplace_back(as.back(), bs.back());
+          }
+          const auto ops = sim::wide_transpose_batch(pairs, n, lanes, isa);
+          ASSERT_EQ(ops.a, reference_slices(as, n, lanes));
+          ASSERT_EQ(ops.b, reference_slices(bs, n, lanes));
+
+          // Unpack lanes [0, count) into all-ones destinations, leaving
+          // the lanes set in `skip` alone.
+          const auto unpack_into = [&](const std::vector<std::uint64_t>& sliced,
+                                       int count, const std::uint64_t* skip) {
+            std::vector<BitVec> values(static_cast<std::size_t>(count),
+                                       all_ones_limbs(n));
+            std::vector<BitVec*> out;
+            for (auto& v : values) out.push_back(&v);
+            sim::wide_lane_values_into(sliced, n, lanes, out, skip, isa);
+            return values;
+          };
+          std::vector<std::uint64_t> every_third(
+              static_cast<std::size_t>(words), 0);
+          for (int lane = 1; lane < lanes; lane += 3) {
+            every_third[lane / 64] |= std::uint64_t{1} << (lane % 64);
+          }
+          for (const auto* side : {&as, &bs}) {
+            const auto& sliced = side == &as ? ops.a : ops.b;
+            const auto expect = [&](int lane) {
+              return lane < used ? (*side)[lane] : BitVec(n);
+            };
+            const auto values = sim::wide_lane_values(sliced, n, lanes, isa);
+            const auto into_all = unpack_into(sliced, lanes, nullptr);
+            for (int lane = 0; lane < lanes; ++lane) {
+              ASSERT_EQ(sim::wide_lane_value(sliced, n, words, lane),
+                        expect(lane))
+                  << "lane " << lane;
+              ASSERT_EQ(values[lane], expect(lane)) << "lane " << lane;
+              ASSERT_EQ(into_all[lane], expect(lane)) << "lane " << lane;
+            }
+            const auto into_used = unpack_into(sliced, used, nullptr);
+            const auto skipped = unpack_into(sliced, used, every_third.data());
+            for (int lane = 0; lane < used; ++lane) {
+              ASSERT_EQ(into_used[lane], expect(lane)) << "lane " << lane;
+              if (lane % 3 == 1) {
+                ASSERT_EQ(skipped[lane].limbs(), all_ones_limbs(n).limbs())
+                    << "skipped lane " << lane;
+              } else {
+                ASSERT_EQ(skipped[lane], expect(lane)) << "lane " << lane;
+              }
+            }
+          }
+        }
       }
     }
   }
@@ -542,6 +618,17 @@ TEST(BatchEngineWide, RejectsBadArguments) {
   bad.lanes = 1024;
   EXPECT_THROW(sim::wide_aca_add(bad, 4), std::invalid_argument);
   EXPECT_THROW(sim::wide_lane_values(ops.a, 8, 128), std::invalid_argument);
+  // In-place unpack: more values than lanes, or a value of the wrong
+  // width, rejects.
+  std::vector<BitVec> values(65, BitVec(8));
+  std::vector<BitVec*> out;
+  for (auto& v : values) out.push_back(&v);
+  EXPECT_THROW(sim::wide_lane_values_into(ops.a, 8, 64, out),
+               std::invalid_argument);
+  BitVec narrow(7);
+  const std::vector<BitVec*> mismatched{&narrow};
+  EXPECT_THROW(sim::wide_lane_values_into(ops.a, 8, 64, mismatched),
+               std::invalid_argument);
   EXPECT_THROW(
       sim::wide_transpose_batch(
           std::vector<std::pair<BitVec, BitVec>>(65,

@@ -39,11 +39,10 @@ using vlsa::trace::TraceEvent;
 namespace {
 
 using McQueueT = BoundedQueue<int, mc::Sync>;
-constexpr std::chrono::microseconds kNoLinger{0};
 
 // ---------------------------------------------------------------------
-// McQueue — no loss, no duplication, FIFO per producer, close-drain,
-// linger: the queue's contract under every explored interleaving.
+// McQueue — no loss, no duplication, FIFO per producer, close-drain:
+// the queue's contract under every explored interleaving.
 
 // Two producers, two items each, capacity 1 (maximum contention), the
 // body thread consuming.  Items are tagged with their producer.
@@ -61,7 +60,7 @@ void queue_two_producer_body() {
   std::vector<int> out;
   while (seen.size() < 4) {
     out.clear();
-    (void)q.pop_batch(out, 4, kNoLinger);
+    (void)q.pop_batch(out, 4);
     seen.insert(seen.end(), out.begin(), out.end());
   }
   p1.join();
@@ -108,7 +107,7 @@ TEST(McQueue, BulkPushBatchPop) {
         std::vector<int> out;
         while (seen.size() < 3) {
           out.clear();
-          (void)q.pop_batch(out, 2, kNoLinger);
+          (void)q.pop_batch(out, 2);
           seen.insert(seen.end(), out.begin(), out.end());
         }
         p.join();
@@ -130,7 +129,7 @@ TEST(McQueue, CloseDrainsThenSignalsShutdown) {
       std::vector<int> out;
       for (;;) {
         out.clear();
-        if (q.pop_batch(out, 4, kNoLinger) == 0) break;  // shutdown signal
+        if (q.pop_batch(out, 4) == 0) break;  // shutdown signal
         got.insert(got.end(), out.begin(), out.end());
       }
       // Everything queued before close drains, in order.
@@ -143,37 +142,6 @@ TEST(McQueue, CloseDrainsThenSignalsShutdown) {
   });
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
   EXPECT_FALSE(r.budget_exhausted);
-}
-
-TEST(McQueue, LingerCollectsLateArrivals) {
-  // The consumer lingers (timed wait) after its first item; whatever
-  // interleaving the producer's second push lands in, the consumer
-  // never deadlocks and eventually sees both items.
-  mc::Options o;
-  o.preemption_bound = 2;
-  o.max_schedules = 20000;
-  const mc::Result r = mc::explore(
-      [] {
-        McQueueT q(4);
-        mc::Thread p([&] {
-          MC_ASSERT(q.push_block(1));
-          MC_ASSERT(q.push_block(2));
-        });
-        std::vector<int> seen;
-        std::vector<int> out;
-        while (seen.size() < 2) {
-          out.clear();
-          const std::size_t n =
-              q.pop_batch(out, 2, std::chrono::microseconds(1000));
-          MC_ASSERT(n == out.size());
-          MC_ASSERT(n >= 1);  // not closed: blocking pop yields >= 1
-          seen.insert(seen.end(), out.begin(), out.end());
-        }
-        p.join();
-        MC_ASSERT(seen[0] == 1 && seen[1] == 2);
-      },
-      o);
-  EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
 }
 
 // The acceptance configuration: 2 producers, 2 consumers, capacity 1.
@@ -192,7 +160,7 @@ TEST(McCoverage, TwoProducerTwoConsumerTenThousandSchedules) {
           std::vector<int> out;
           for (;;) {
             out.clear();
-            const std::size_t n = q.pop_batch(out, 2, kNoLinger);
+            const std::size_t n = q.pop_batch(out, 2);
             if (n == 0) break;  // closed and empty
             popped.fetch_add(static_cast<int>(n));
           }
@@ -321,7 +289,7 @@ TEST(McService, CompletionHandoffPublishesResult) {
     mc::atomic<int> done{0};
     mc::Thread worker([&] {
       std::vector<int> out;
-      while (out.empty()) (void)q.pop_batch(out, 1, kNoLinger);
+      while (out.empty()) (void)q.pop_batch(out, 1);
       result.store(out[0] * 2, std::memory_order_relaxed);
       done.store(1, std::memory_order_release);
     });
@@ -349,7 +317,7 @@ TEST(McService, CompetingWorkersDeliverExactlyOnce) {
           std::vector<int> out;
           for (;;) {
             out.clear();
-            if (q.pop_batch(out, 2, kNoLinger) == 0) break;
+            if (q.pop_batch(out, 2) == 0) break;
             for (const int i : out) {
               if (i == 0) delivered0.fetch_add(1);
               if (i == 1) delivered1.fetch_add(1);
@@ -408,8 +376,7 @@ TEST(McShardedDrain, DoneImpliesTheOnlyConsumerTookEverything) {
         std::vector<int> out;
         for (int probe = 0; probe < 2 && !done; ++probe) {
           out.clear();
-          const auto result = q.pop_batch_for(out, 2, kNoLinger,
-                                              kProbeTimeout);
+          const auto result = q.pop_batch_for(out, 2, kProbeTimeout);
           drained += static_cast<int>(result.taken);
           done = result.done;
           if (done) MC_ASSERT(drained == 1);  // exit implies drained
@@ -419,8 +386,7 @@ TEST(McShardedDrain, DoneImpliesTheOnlyConsumerTookEverything) {
           // Closed queue: one call returns the full residue AND done —
           // no second "see the close" call like pop_batch needs.
           out.clear();
-          const auto result = q.pop_batch_for(out, 2, kNoLinger,
-                                              kProbeTimeout);
+          const auto result = q.pop_batch_for(out, 2, kProbeTimeout);
           drained += static_cast<int>(result.taken);
           MC_ASSERT(result.done);
         }
@@ -465,7 +431,7 @@ TEST(McShardedDrain, TwoQueueNeighborStealDrainNeverStrandsItems) {
         });
         auto drain_pass = [&](McQueueT& own, McQueueT& victim) {
           std::vector<int> out;
-          (void)own.pop_batch_for(out, 2, kNoLinger, kProbeTimeout);
+          (void)own.pop_batch_for(out, 2, kProbeTimeout);
           tally(out);
           out.clear();
           (void)victim.try_pop_batch(out, 2);  // the neighbor steal
@@ -479,11 +445,11 @@ TEST(McShardedDrain, TwoQueueNeighborStealDrainNeverStrandsItems) {
         // Quiescent sweep: both queues are closed, so one call each
         // must take any residue and report done at the same time.
         std::vector<int> out;
-        const auto r0 = q0.pop_batch_for(out, 2, kNoLinger, kProbeTimeout);
+        const auto r0 = q0.pop_batch_for(out, 2, kProbeTimeout);
         tally(out);
         MC_ASSERT(r0.done);
         out.clear();
-        const auto r1 = q1.pop_batch_for(out, 2, kNoLinger, kProbeTimeout);
+        const auto r1 = q1.pop_batch_for(out, 2, kProbeTimeout);
         tally(out);
         MC_ASSERT(r1.done);
         // No loss, no duplication across own-pop, steal, and sweep.
@@ -519,7 +485,7 @@ TEST(McMutant, QueueLostNotEmptyWakeupDeadlocks) {
     McQueueT q(1);
     mc::Thread p([&] { MC_ASSERT(q.push_block(7)); });
     std::vector<int> out;
-    while (out.empty()) (void)q.pop_batch(out, 1, kNoLinger);
+    while (out.empty()) (void)q.pop_batch(out, 1);
     p.join();
     MC_ASSERT(out[0] == 7);
   };
@@ -550,7 +516,7 @@ TEST(McMutant, QueueLostNotFullWakeupDeadlocks) {
     std::vector<int> out;
     while (seen.size() < 2) {
       out.clear();
-      (void)q.pop_batch(out, 1, kNoLinger);
+      (void)q.pop_batch(out, 1);
       seen.insert(seen.end(), out.begin(), out.end());
     }
     p.join();
@@ -569,7 +535,7 @@ TEST(McMutant, QueueLostCloseWakeupDeadlocks) {
     McQueueT q(1);
     mc::Thread c([&] {
       std::vector<int> out;
-      (void)q.pop_batch(out, 1, kNoLinger);  // returns 0 after close
+      (void)q.pop_batch(out, 1);  // returns 0 after close
       MC_ASSERT(out.empty());
     });
     q.close();
@@ -686,7 +652,7 @@ TEST(McMutant, ServicePublishBeforeResultCaught) {
     mc::atomic<int> done{0};
     mc::Thread worker([&] {
       std::vector<int> out;
-      while (out.empty()) (void)q.pop_batch(out, 1, kNoLinger);
+      while (out.empty()) (void)q.pop_batch(out, 1);
       done.store(1, std::memory_order_release);  // MUTANT: before result
       result.store(out[0] * 2, std::memory_order_relaxed);
     });
@@ -721,8 +687,7 @@ TEST(McMutant, TimedDrainSeparateClosedCheckLosesItem) {
     std::vector<int> out;
     for (int probe = 0; probe < 3 && !exited; ++probe) {
       out.clear();
-      drained += static_cast<int>(
-          q.pop_batch_for(out, 2, kNoLinger, kProbeTimeout).taken);
+      drained += static_cast<int>(q.pop_batch_for(out, 2, kProbeTimeout).taken);
       // MUTANT: ignore PopResult::done; re-derive the exit condition
       // from a second, separately-locked probe.
       if (out.empty() && q.closed()) exited = true;
@@ -730,8 +695,7 @@ TEST(McMutant, TimedDrainSeparateClosedCheckLosesItem) {
     p.join();
     if (!exited) {
       out.clear();
-      drained += static_cast<int>(
-          q.pop_batch_for(out, 2, kNoLinger, kProbeTimeout).taken);
+      drained += static_cast<int>(q.pop_batch_for(out, 2, kProbeTimeout).taken);
     }
     MC_ASSERT(drained == 1);
   };

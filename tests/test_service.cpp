@@ -383,12 +383,10 @@ TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   queue.close();
   EXPECT_FALSE(queue.try_push(3));
   std::vector<int> out;
-  // A closed queue drains without lingering...
-  EXPECT_EQ(queue.pop_batch(out, 64, std::chrono::microseconds(1'000'000)),
-            2u);
+  // A closed queue drains...
+  EXPECT_EQ(queue.pop_batch(out, 64), 2u);
   // ...and then reports shutdown immediately (no block).
-  EXPECT_EQ(queue.pop_batch(out, 64, std::chrono::microseconds(1'000'000)),
-            0u);
+  EXPECT_EQ(queue.pop_batch(out, 64), 0u);
 }
 
 // Like counter_value but tolerant of a not-yet-registered name: used
@@ -763,7 +761,7 @@ TEST(ServiceSharded, SingleShardSnapshotHasNoShardLabels) {
 }
 
 TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
-  // The close/linger drain race: `done` must be computed under the same
+  // The close/drain race: `done` must be computed under the same
   // lock as the pop, so a drainer can never see (taken == 0, done ==
   // false) forever nor exit while items remain.  The mc two-queue suite
   // (test_mc_suites.cpp) pins the interleaving; this is the plain unit
@@ -773,14 +771,12 @@ TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
   EXPECT_TRUE(queue.try_push(2));
   std::vector<int> out;
   // Open queue with items: taken > 0, not done.
-  auto result = queue.pop_batch_for(out, 64, std::chrono::microseconds(0),
-                                    std::chrono::microseconds(1000));
+  auto result = queue.pop_batch_for(out, 64, std::chrono::microseconds(1000));
   EXPECT_EQ(result.taken, 2u);
   EXPECT_FALSE(result.done);
   // Open queue, empty: times out with nothing, still not done.
   out.clear();
-  result = queue.pop_batch_for(out, 64, std::chrono::microseconds(0),
-                               std::chrono::microseconds(1000));
+  result = queue.pop_batch_for(out, 64, std::chrono::microseconds(1000));
   EXPECT_EQ(result.taken, 0u);
   EXPECT_FALSE(result.done);
   // Closed with a residual item: the pop that takes the last item also
@@ -788,27 +784,10 @@ TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
   EXPECT_TRUE(queue.try_push(3));
   queue.close();
   out.clear();
-  result = queue.pop_batch_for(out, 64, std::chrono::microseconds(0),
-                               std::chrono::microseconds(1'000'000));
+  result = queue.pop_batch_for(out, 64, std::chrono::microseconds(1'000'000));
   EXPECT_EQ(result.taken, 1u);
   EXPECT_EQ(out, (std::vector<int>{3}));
   EXPECT_TRUE(result.done);
-}
-
-TEST(BoundedQueue, PopBatchLingerCollectsLateArrivals) {
-  service::BoundedQueue<int> queue(64);
-  EXPECT_TRUE(queue.try_push(1));
-  std::thread late([&queue] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    EXPECT_TRUE(queue.try_push(2));
-  });
-  std::vector<int> out;
-  const auto taken =
-      queue.pop_batch(out, 64, std::chrono::microseconds(200'000));
-  late.join();
-  // The linger window must have picked up the second item.
-  EXPECT_EQ(taken, 2u);
-  EXPECT_EQ(out, (std::vector<int>{1, 2}));
 }
 
 }  // namespace
