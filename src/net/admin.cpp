@@ -1,8 +1,6 @@
 #include "net/admin.hpp"
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -10,9 +8,10 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
+
+#include "net/listener.hpp"
 
 namespace vlsa::net {
 
@@ -128,42 +127,8 @@ struct AdminServer::Connection {
 };
 
 AdminServer::AdminServer(const AdminConfig& config) : config_(config) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                        0);
-  if (listen_fd_ < 0) throw std::runtime_error("admin: socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config_.port);
-  if (::inet_pton(AF_INET, config_.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("admin: bad address '" + config_.host +
-                             "' (IPv4 dotted quad expected)");
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error("admin: bind(" + config_.host + ":" +
-                             std::to_string(config_.port) +
-                             ") failed: " + std::strerror(err));
-  }
-  if (::listen(listen_fd_, config_.listen_backlog) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    throw std::runtime_error(std::string("admin: listen() failed: ") +
-                             std::strerror(err));
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) ==
-      0) {
-    port_ = ntohs(bound.sin_port);
-  }
+  listen_fd_ = detail::listen_tcp("admin", config_.host, config_.port,
+                                  config_.listen_backlog, port_);
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (wake_fd_ < 0) {
     ::close(listen_fd_);

@@ -1,6 +1,5 @@
 #include "net/server.hpp"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
@@ -11,13 +10,13 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <cstring>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "net/listener.hpp"
 #include "net/notifier.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
@@ -377,24 +376,13 @@ class EventLoop {
       REQUIRES(loop_role_) {
     if (request.width != width_ ||
         (request.window != 0 && request.window != window_)) {
-      ResponseFrame error;
-      error.id = request.id;
-      error.status = Status::Error;
-      error.width = request.width;
-      error.window = window_;
-      metrics_->frames_errored.increment();
-      enqueue_response(conn, error);
+      // Echo the request's width so the client sees the mismatch.
+      enqueue_status(conn, request.id, Status::Error, request.width);
       return;
     }
     if (!try_submit(conn, request)) {
       if (reject_) {
-        ResponseFrame rejected;
-        rejected.id = request.id;
-        rejected.status = Status::Rejected;
-        rejected.width = request.width;
-        rejected.window = window_;
-        metrics_->frames_rejected.increment();
-        enqueue_response(conn, rejected);
+        enqueue_status(conn, request.id, Status::Rejected, width_);
       } else {
         // Block policy: park the frame, stop reading this socket.
         conn.stalled = std::move(request);
@@ -468,13 +456,7 @@ class EventLoop {
       // Service closed under us (teardown race): answer Error rather
       // than leaving the client hanging.
       conn.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      ResponseFrame error;
-      error.id = rid;
-      error.status = Status::Error;
-      error.width = width_;
-      error.window = window_;
-      metrics_->frames_errored.increment();
-      enqueue_response(conn, error);
+      enqueue_status(conn, rid, Status::Error, width_);
       return true;  // consumed (never retried)
     }
     if (!accepted) {
@@ -494,11 +476,20 @@ class EventLoop {
     return true;
   }
 
-  /// Loop-thread response path (errors/rejections): same pending
-  /// buffer as the completion callbacks, so byte ordering on the wire
-  /// is a single append order.
-  void enqueue_response(Connection& conn, const ResponseFrame& response)
-      REQUIRES(loop_role_) {
+  /// Loop-thread reply without a sum — Status::Error (counted in
+  /// net.frames_errored) or Status::Rejected (net.frames_rejected).
+  /// Same pending buffer as the completion callbacks, so byte ordering
+  /// on the wire is a single append order.
+  void enqueue_status(Connection& conn, std::uint64_t id, Status status,
+                      int width) REQUIRES(loop_role_) {
+    ResponseFrame response;
+    response.id = id;
+    response.status = status;
+    response.width = width;
+    response.window = window_;
+    (status == Status::Rejected ? metrics_->frames_rejected
+                                : metrics_->frames_errored)
+        .increment();
     {
       util::LockGuard lock(conn.pending_mutex);
       encode_response(response, conn.pending);
@@ -674,43 +665,6 @@ class EventLoop {
 // ---------------------------------------------------------------------
 // Server
 
-namespace {
-
-int make_listener(const ServerConfig& config, std::uint16_t& bound_port) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) throw std::runtime_error("net: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(config.port);
-  if (::inet_pton(AF_INET, config.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
-    throw std::runtime_error("net: bad listen address '" + config.host +
-                             "' (IPv4 dotted quad expected)");
-  }
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("net: bind(" + config.host + ":" +
-                             std::to_string(config.port) +
-                             ") failed: " + std::strerror(err));
-  }
-  if (::listen(fd, config.listen_backlog) != 0) {
-    ::close(fd);
-    throw std::runtime_error("net: listen() failed");
-  }
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
-    bound_port = ntohs(bound.sin_port);
-  }
-  return fd;
-}
-
-}  // namespace
-
 Server::Server(const ServerConfig& config, service::AdderService& service)
     : config_(config), service_(service) {
   if (config_.event_threads < 1) {
@@ -722,7 +676,8 @@ Server::Server(const ServerConfig& config, service::AdderService& service)
         "has no consumer; every connection would stall)");
   }
   metrics_ = std::make_shared<detail::Metrics>(service_.registry());
-  listen_fd_ = make_listener(config_, port_);
+  listen_fd_ = detail::listen_tcp("net", config_.host, config_.port,
+                                  config_.listen_backlog, port_);
   loops_.reserve(static_cast<std::size_t>(config_.event_threads));
   for (int i = 0; i < config_.event_threads; ++i) {
     loops_.push_back(

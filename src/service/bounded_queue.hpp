@@ -5,18 +5,21 @@
 // workers pop them *in batches* so one queue transaction amortizes over
 // up to `max_batch` requests (by default the engine's SIMD lane count,
 // 64 to 512).  The bound is the backpressure mechanism: when the queue
-// is full, `try_push` fails immediately (reject policy) and
-// `push_block` waits for space (block policy), so overload degrades
-// into rejections or producer throttling instead of unbounded memory
-// growth.
+// is full, `push` without `wait` takes only what fits and hands the
+// rest back (reject policy, event loops), and `push` with `wait` blocks
+// for space (block policy), so overload degrades into rejections or
+// producer throttling instead of unbounded memory growth.
 //
-// `pop_batch` waits for the first item, then takes whatever else is
-// queued, up to `max`, and returns at once: it never holds a partial
-// batch open.  Batches still fill under load, because requests queue
-// while the dispatcher evaluates the previous batch, and a lone request
-// on an idle queue goes straight through.  After `close()`, pushes
-// fail, poppers drain whatever remains, and then `pop_batch` returns
-// 0 — the worker-shutdown signal.
+// The queue has exactly one push and one pop, the two the service
+// calls.  `pop_batch` waits for the first item for up to its timeout
+// (`kForever`, a poll interval, or zero for a glance that never
+// sleeps), then takes whatever else is queued, up to `max`, and
+// returns at once: it never holds a partial batch open.  Batches still
+// fill under load, because requests queue while the dispatcher
+// evaluates the previous batch, and a lone request on an idle queue
+// goes straight through.  After `close()`, pushes fail, poppers drain
+// whatever remains, and then `pop_batch` reports `done` — the
+// worker-shutdown signal.
 //
 // The locking discipline is machine-checked: every field behind
 // `mutex_` carries GUARDED_BY, so `clang++ -Wthread-safety` (the
@@ -27,11 +30,10 @@
 //
 // The synchronization primitives are a policy template parameter:
 // production code uses the default `DefaultSync` (util::Mutex et al.,
-// zero overhead — the default instantiation is byte-identical to the
-// pre-policy queue), while the model-checker tests instantiate
-// `BoundedQueue<T, mc::Sync>` so the *exact same* push/pop/close code
-// runs under schedule-injected primitives (src/mc/,
-// docs/model_checking.md).
+// zero overhead), while the model-checker tests instantiate
+// `BoundedQueue<T, mc::Sync>` so the same `push`, `pop_batch` and
+// `close` the service calls run under schedule-injected primitives
+// (src/mc/, docs/model_checking.md).
 
 #include <chrono>
 #include <cstddef>
@@ -55,66 +57,47 @@ struct DefaultSync {
 template <typename T, typename Sync = DefaultSync>
 class BoundedQueue {
  public:
+  /// `pop_batch` timeout that waits for an item or the close, however
+  /// long that takes.
+  static constexpr std::chrono::microseconds kForever =
+      std::chrono::microseconds::max();
+
   explicit BoundedQueue(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Non-blocking push; false when full or closed.
-  bool try_push(T&& item) {
-    bool wake = false;
-    {
-      typename Sync::LockGuard lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-      wake = waiting_consumers_ > 0;
-    }
-    if (wake) not_empty_.notify_one();
-    return true;
-  }
-
-  /// Waits for space; false only when the queue is (or becomes) closed.
-  bool push_block(T&& item) {
-    bool wake = false;
-    {
-      typename Sync::UniqueLock lock(mutex_);
-      ++waiting_producers_;
-      while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
-      --waiting_producers_;
-      if (closed_) return false;
-      items_.push_back(std::move(item));
-      wake = waiting_consumers_ > 0;
-    }
-    if (wake) not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocking bulk push: moves the elements of `items` in order,
-  /// waiting for space as needed.  One lock round-trip and at most one
-  /// wakeup per *chunk* of freed capacity instead of per item — this is
-  /// what lets producers keep 64-deep batches ahead of the dispatchers.
-  /// Returns the number of items pushed, which is items.size() unless
-  /// the queue is (or becomes) closed mid-way; the rest stay untouched.
-  std::size_t push_many_block(std::span<T> items) {
+  /// Moves the leading elements of `items` that fit, in order, and
+  /// returns how many it took; the rest stay untouched.  With `wait`
+  /// it blocks for space until every item is in or the queue closes,
+  /// taking one lock round-trip and at most one wakeup per chunk of
+  /// freed capacity — this is what lets producers keep 64-deep batches
+  /// ahead of the dispatchers.  Without `wait` it takes what fits under
+  /// one lock and returns.  A closed queue takes nothing.
+  std::size_t push(std::span<T> items, bool wait) {
     std::size_t pushed = 0;
     while (pushed < items.size()) {
       bool wake = false;
       const std::size_t before = pushed;
       {
         typename Sync::UniqueLock lock(mutex_);
-        ++waiting_producers_;
-        while (!closed_ && items_.size() >= capacity_) not_full_.wait(lock);
-        --waiting_producers_;
+        if (wait) {
+          ++waiting_producers_;
+          while (!closed_ && items_.size() >= capacity_) {
+            not_full_.wait(lock);
+          }
+          --waiting_producers_;
+        }
         if (closed_) break;
         while (pushed < items.size() && items_.size() < capacity_) {
           items_.push_back(std::move(items[pushed]));
           ++pushed;
         }
-        wake = waiting_consumers_ > 0;
+        wake = pushed > before && waiting_consumers_ > 0;
       }
       // More than one consumer can make progress on a multi-item push;
-      // a single item wakes one, exactly like push_block.
+      // a single item wakes one.
       if (wake) {
         if (pushed - before > 1) {
           not_empty_.notify_all();
@@ -122,31 +105,14 @@ class BoundedQueue {
           not_empty_.notify_one();
         }
       }
+      if (!wait) break;
     }
     return pushed;
   }
 
-  /// Append up to `max` items to `out`.  Blocks until at least one item
-  /// is available (or the queue is closed and empty — returns 0), then
-  /// takes what is queued without waiting for more.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
-    std::size_t taken = 0;
-    bool wake = false;
-    {
-      typename Sync::UniqueLock lock(mutex_);
-      ++waiting_consumers_;
-      while (!closed_ && items_.empty()) not_empty_.wait(lock);
-      --waiting_consumers_;
-      taken = take_locked(out, max);
-      wake = taken > 0 && waiting_producers_ > 0;
-    }
-    if (wake) not_full_.notify_all();
-    return taken;
-  }
-
-  /// Result of a timed pop.  `done` is the worker-exit signal: it is
-  /// true only when the queue was closed AND empty, evaluated together
-  /// under the queue lock.  The obvious-looking alternative — return a
+  /// Result of a pop.  `done` is the worker-exit signal: it is true
+  /// only when the queue was closed AND empty, evaluated together under
+  /// the queue lock.  The obvious-looking alternative — return a
   /// count, let the caller test `closed()` separately on timeout — has
   /// a drain race: an item pushed between the timeout return and the
   /// `closed()` check (close() fails *future* pushes, not in-flight
@@ -160,28 +126,37 @@ class BoundedQueue {
     bool done = false;  ///< closed && empty, checked atomically
   };
 
-  /// Timed variant of pop_batch for workers that must wake while their
-  /// queue is idle (the work-stealing dispatchers): waits up to
-  /// `timeout` for the first item, then takes what is queued like
-  /// pop_batch.  A `{0, false}` return means the timeout expired with
-  /// the queue open (or open-and-racing) — retry or go steal; `{_, true}`
-  /// means closed and fully drained — exit.  Never returns done with
-  /// items left.
-  PopResult pop_batch_for(std::vector<T>& out, std::size_t max,
-                          std::chrono::microseconds timeout) {
+  /// Appends up to `max` items to `out`.  Waits up to `timeout` for the
+  /// first item, then takes what is queued without waiting for more:
+  /// `kForever` returns only with items or once closed and drained, a
+  /// positive timeout may return `{0, false}` (retry or go steal), and
+  /// zero never sleeps.  Never returns done with items left.
+  PopResult pop_batch(std::vector<T>& out, std::size_t max,
+                      std::chrono::microseconds timeout) {
     PopResult result;
     bool wake = false;
     {
       typename Sync::UniqueLock lock(mutex_);
-      const auto wait_deadline = std::chrono::steady_clock::now() + timeout;
-      ++waiting_consumers_;
-      while (!closed_ && items_.empty()) {
-        if (not_empty_.wait_until(lock, wait_deadline) ==
-            std::cv_status::timeout) {
-          break;
+      // A zero timeout is a glance: it neither sleeps nor counts as a
+      // waiting consumer, so pushes skip its wakeup.
+      if (timeout > std::chrono::microseconds::zero()) {
+        const bool forever = timeout == kForever;
+        const auto deadline = forever ? std::chrono::steady_clock::time_point{}
+                                      : std::chrono::steady_clock::now() +
+                                            timeout;
+        ++waiting_consumers_;
+        while (!closed_ && items_.empty()) {
+          // Untimed, so the model checker never grants a forever wait
+          // a timeout it could not have.
+          if (forever) {
+            not_empty_.wait(lock);
+          } else if (not_empty_.wait_until(lock, deadline) ==
+                     std::cv_status::timeout) {
+            break;
+          }
         }
+        --waiting_consumers_;
       }
-      --waiting_consumers_;
       result.taken = take_locked(out, max);
       // The load-bearing line: closed-and-empty is decided under the
       // same lock that serializes pushes, so no item can slip between
@@ -191,19 +166,6 @@ class BoundedQueue {
     }
     if (wake) not_full_.notify_all();
     return result;
-  }
-
-  /// Non-blocking variant: grab whatever is there, up to `max`.
-  std::size_t try_pop_batch(std::vector<T>& out, std::size_t max) {
-    std::size_t taken = 0;
-    bool wake = false;
-    {
-      typename Sync::LockGuard lock(mutex_);
-      taken = take_locked(out, max);
-      wake = taken > 0 && waiting_producers_ > 0;
-    }
-    if (wake) not_full_.notify_all();
-    return taken;
   }
 
   /// Fail all future pushes and wake every waiter; queued items remain

@@ -92,6 +92,9 @@ void pin_to_core(std::thread& thread, std::size_t shard_index) {
 /// cycles polling each other.
 constexpr std::chrono::microseconds kStealPoll{200};
 
+/// Pop timeout of a glance: take what is queued, never sleep.
+constexpr std::chrono::microseconds kNoWait{0};
+
 }  // namespace
 
 AdderService::AdderService(const ServiceConfig& config,
@@ -235,16 +238,9 @@ std::size_t AdderService::admit(std::span<Request> requests, Admission mode,
       request.arrival_cycle = arrival;
       request.arrival_time = now;
     }
-    std::size_t taken = 0;
-    if (wait) {
-      taken = shard.queue.push_many_block(share);
-    } else {
-      // Leading requests are accepted until the queue fills.
-      while (taken < share.size() &&
-             shard.queue.try_push(std::move(share[taken]))) {
-        ++taken;
-      }
-    }
+    // Leading requests are accepted until the queue fills (or, when
+    // waiting, until it closes).
+    const std::size_t taken = shard.queue.push(share, wait);
     admitted += taken;
     if (taken > 0) {
       if (shard.submitted != nullptr) {
@@ -350,47 +346,37 @@ void AdderService::worker_loop(std::size_t shard_index) {
   std::vector<Request> batch;
   batch.reserve(max_batch);
   sim::WideResult scratch;
+  // Without stealing, block on the own queue until work or the close.
+  // With stealing, park there for at most kStealPoll, then try one
+  // non-blocking pop from the right-hand neighbor; right after a steal
+  // only glance at the own queue, so a refilling home queue preempts
+  // further stealing.  Exit only on the own queue's atomic
+  // closed-and-empty signal — checking closed() separately after a
+  // timeout is exactly the lost-item drain race the mc two-queue suite
+  // pins down (see BoundedQueue::PopResult).
   const bool steal =
       config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
-  if (!steal) {
-    while (shard.queue.pop_batch(batch, max_batch) > 0) {
-      dispatch(batch, scratch, shard, shard_index, false);
-      batch.clear();
-    }
-    return;
-  }
-  // Steal-enabled loop: park on the own queue for at most kStealPoll,
-  // then opportunistically drain the right-hand neighbor.  Exit only on
-  // pop_batch_for's atomic closed-and-empty signal — checking closed()
-  // separately after a timeout is exactly the lost-item drain race the
-  // mc two-queue suite pins down (see BoundedQueue::PopResult).
-  Shard& victim = *shards_[(shard_index + 1) % shards_.size()];
+  Shard* const victim =
+      steal ? shards_[(shard_index + 1) % shards_.size()].get() : nullptr;
+  const auto park = steal ? kStealPoll : BoundedQueue<Request>::kForever;
+  bool stole = false;
   for (;;) {
-    const auto result = shard.queue.pop_batch_for(batch, max_batch, kStealPoll);
-    if (result.taken > 0) {
+    const auto own =
+        shard.queue.pop_batch(batch, max_batch, stole ? kNoWait : park);
+    stole = false;
+    if (own.taken > 0) {
       dispatch(batch, scratch, shard, shard_index, false);
-      batch.clear();
-      continue;
+    } else if (own.done) {
+      return;
+    } else if (victim != nullptr &&
+               victim->queue.pop_batch(batch, max_batch, kNoWait).taken > 0) {
+      // Stolen work runs on OUR engine and recovery lane, clocked by
+      // OUR vclock — provenance lands in service.stolen{shard=us},
+      // Completion::shard, and the trace shard id.
+      dispatch(batch, scratch, shard, shard_index, true);
+      stole = true;
     }
-    if (result.done) return;
-    // Own queue idle: alternate own-queue checks with neighbor steals
-    // so a refilling home queue preempts further stealing.
-    for (;;) {
-      if (shard.queue.try_pop_batch(batch, max_batch) > 0) {
-        dispatch(batch, scratch, shard, shard_index, false);
-        batch.clear();
-        break;
-      }
-      if (victim.queue.try_pop_batch(batch, max_batch) > 0) {
-        // Stolen work runs on OUR engine and recovery lane, clocked by
-        // OUR vclock — provenance lands in service.stolen{shard=us},
-        // Completion::shard, and the trace shard id.
-        dispatch(batch, scratch, shard, shard_index, true);
-        batch.clear();
-        continue;
-      }
-      break;  // both queues empty — back to the timed wait
-    }
+    batch.clear();
   }
 }
 
@@ -591,16 +577,14 @@ std::size_t AdderService::pump() {
   }
   std::vector<Request> batch;
   sim::WideResult scratch;
+  const auto max_batch = static_cast<std::size_t>(config_.max_batch);
   const std::size_t n_shards = shards_.size();
   // Rotate so no shard starves when several hold work; pump mode is
   // single-threaded by contract, so plain member state suffices.
   for (std::size_t i = 0; i < n_shards; ++i) {
     const std::size_t idx = (pump_next_ + i) % n_shards;
     Shard& shard = *shards_[idx];
-    if (shard.queue.try_pop_batch(
-            batch, static_cast<std::size_t>(config_.max_batch)) == 0) {
-      continue;
-    }
+    if (shard.queue.pop_batch(batch, max_batch, kNoWait).taken == 0) continue;
     pump_next_ = (idx + 1) % n_shards;
     return dispatch(batch, scratch, shard, idx, false);
   }

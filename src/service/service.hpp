@@ -31,7 +31,13 @@
 //
 // Backpressure: `OverflowPolicy::Reject` fails submissions when the
 // queue is full (counted in `service.rejected`); `Block` throttles the
-// producer.  Either way memory stays bounded under overload.
+// producer.  Either way memory stays bounded under overload.  Each
+// shard's queue (service/bounded_queue.hpp) has one push and one pop:
+// admission pushes each shard's share of a call in one `push`, waiting
+// for space only under Block in worker mode, and every dispatcher runs
+// one loop over `pop_batch` — blocking on its own queue, or, with
+// stealing, parking there for a bounded poll and then taking one
+// non-blocking pop from its neighbor.  pump() takes non-blocking pops.
 //
 // Determinism: with `workers == 0` nothing runs concurrently — the
 // caller drives dispatch with `pump()` (the destructor pumps any
@@ -313,8 +319,8 @@ class AdderService {
   enum class Admission { Wait, Try };
   /// The one admission path behind every submit call.  It validates
   /// the requests, routes them (Hash per request, one RoundRobin ticket
-  /// per call), stamps their arrival, pushes each shard's share in one
-  /// queue transaction, keeps the inflight / submitted / rejected
+  /// per call), stamps their arrival, pushes each shard's share with one
+  /// BoundedQueue::push call, keeps the inflight / submitted / rejected
   /// accounting (global and per-shard) and emits one `submit` trace
   /// event per admitted share.  Each request it cannot take is handed
   /// back intact as `on_miss(index_in_requests, request)`.  Returns the
@@ -322,6 +328,9 @@ class AdderService {
   template <typename OnMiss>
   std::size_t admit(std::span<Request> requests, Admission mode,
                     OnMiss&& on_miss);
+  /// One dispatcher's life: pop from the own queue (and, with
+  /// StealPolicy::Neighbor, the neighbor's), dispatch, and return once
+  /// the own queue reports closed and drained.
   void worker_loop(std::size_t shard_index);
   /// Evaluate one batch on `shard`'s engine and complete every lane on
   /// the calling thread, in lane order: unflagged lanes take the

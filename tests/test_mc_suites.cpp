@@ -5,6 +5,8 @@
 // The code under test is the shipped implementation, not a model:
 //   * service::BoundedQueue<T, mc::Sync>   — the real queue on
 //     checker-controlled mutex/condvar (service/bounded_queue.hpp).
+//     Its one `push` and one `pop_batch` are the calls the service
+//     makes, with the same `wait` flags and timeouts.
 //   * trace::BasicEventRing<mc::Atomics>   — the real seqlock ring on
 //     checker-controlled atomics (trace/trace.hpp).
 // Swapping the policy parameter is the only difference from production.
@@ -40,6 +42,15 @@ namespace {
 
 using McQueueT = BoundedQueue<int, mc::Sync>;
 
+constexpr std::chrono::microseconds kForever = McQueueT::kForever;
+constexpr std::chrono::microseconds kNoWait{0};
+
+// One item through the queue's only push: `wait` blocks for space like
+// a Block-policy submit, otherwise it is the event loop's try.
+bool push_one(McQueueT& q, int item, bool wait = true) {
+  return q.push({&item, 1}, wait) == 1;
+}
+
 // ---------------------------------------------------------------------
 // McQueue — no loss, no duplication, FIFO per producer, close-drain:
 // the queue's contract under every explored interleaving.
@@ -49,18 +60,18 @@ using McQueueT = BoundedQueue<int, mc::Sync>;
 void queue_two_producer_body() {
   McQueueT q(1);
   mc::Thread p1([&] {
-    MC_ASSERT(q.push_block(11));
-    MC_ASSERT(q.push_block(12));
+    MC_ASSERT(push_one(q, 11));
+    MC_ASSERT(push_one(q, 12));
   });
   mc::Thread p2([&] {
-    MC_ASSERT(q.push_block(21));
-    MC_ASSERT(q.push_block(22));
+    MC_ASSERT(push_one(q, 21));
+    MC_ASSERT(push_one(q, 22));
   });
   std::vector<int> seen;
   std::vector<int> out;
   while (seen.size() < 4) {
     out.clear();
-    (void)q.pop_batch(out, 4);
+    (void)q.pop_batch(out, 4, kForever);
     seen.insert(seen.end(), out.begin(), out.end());
   }
   p1.join();
@@ -101,13 +112,13 @@ TEST(McQueue, BulkPushBatchPop) {
         McQueueT q(2);
         mc::Thread p([&] {
           std::vector<int> items{1, 2, 3};
-          MC_ASSERT(q.push_many_block(items) == 3);
+          MC_ASSERT(q.push(items, true) == 3);
         });
         std::vector<int> seen;
         std::vector<int> out;
         while (seen.size() < 3) {
           out.clear();
-          (void)q.pop_batch(out, 2);
+          (void)q.pop_batch(out, 2, kForever);
           seen.insert(seen.end(), out.begin(), out.end());
         }
         p.join();
@@ -122,14 +133,15 @@ TEST(McQueue, BulkPushBatchPop) {
 TEST(McQueue, CloseDrainsThenSignalsShutdown) {
   const mc::Result r = mc::explore([] {
     McQueueT q(4);
-    MC_ASSERT(q.try_push(1));
-    MC_ASSERT(q.try_push(2));
+    MC_ASSERT(push_one(q, 1, false));
+    MC_ASSERT(push_one(q, 2, false));
     mc::Thread c([&] {
       std::vector<int> got;
       std::vector<int> out;
       for (;;) {
         out.clear();
-        if (q.pop_batch(out, 4) == 0) break;  // shutdown signal
+        // Shutdown signal: a forever pop returns empty only once done.
+        if (q.pop_batch(out, 4, kForever).taken == 0) break;
         got.insert(got.end(), out.begin(), out.end());
       }
       // Everything queued before close drains, in order.
@@ -137,7 +149,7 @@ TEST(McQueue, CloseDrainsThenSignalsShutdown) {
       MC_ASSERT(got[0] == 1 && got[1] == 2);
     });
     q.close();
-    MC_ASSERT(!q.try_push(3));  // closed: pushes fail
+    MC_ASSERT(!push_one(q, 3, false));  // closed: pushes fail
     c.join();
   });
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
@@ -153,14 +165,14 @@ TEST(McCoverage, TwoProducerTwoConsumerTenThousandSchedules) {
   const mc::Result r = mc::explore(
       [] {
         McQueueT q(1);
-        mc::Thread p1([&] { MC_ASSERT(q.push_block(1)); });
-        mc::Thread p2([&] { MC_ASSERT(q.push_block(2)); });
+        mc::Thread p1([&] { MC_ASSERT(push_one(q, 1)); });
+        mc::Thread p2([&] { MC_ASSERT(push_one(q, 2)); });
         mc::atomic<int> popped{0};
         auto consume = [&] {
           std::vector<int> out;
           for (;;) {
             out.clear();
-            const std::size_t n = q.pop_batch(out, 2);
+            const std::size_t n = q.pop_batch(out, 2, kForever).taken;
             if (n == 0) break;  // closed and empty
             popped.fetch_add(static_cast<int>(n));
           }
@@ -289,11 +301,11 @@ TEST(McService, CompletionHandoffPublishesResult) {
     mc::atomic<int> done{0};
     mc::Thread worker([&] {
       std::vector<int> out;
-      while (out.empty()) (void)q.pop_batch(out, 1);
+      while (out.empty()) (void)q.pop_batch(out, 1, kForever);
       result.store(out[0] * 2, std::memory_order_relaxed);
       done.store(1, std::memory_order_release);
     });
-    MC_ASSERT(q.push_block(21));
+    MC_ASSERT(push_one(q, 21));
     if (done.load(std::memory_order_acquire) == 1) {
       MC_ASSERT(result.load(std::memory_order_relaxed) == 42);
     }
@@ -317,7 +329,7 @@ TEST(McService, CompetingWorkersDeliverExactlyOnce) {
           std::vector<int> out;
           for (;;) {
             out.clear();
-            if (q.pop_batch(out, 2) == 0) break;
+            if (q.pop_batch(out, 2, kForever).taken == 0) break;
             for (const int i : out) {
               if (i == 0) delivered0.fetch_add(1);
               if (i == 1) delivered1.fetch_add(1);
@@ -326,8 +338,8 @@ TEST(McService, CompetingWorkersDeliverExactlyOnce) {
         };
         mc::Thread w1(work);
         mc::Thread w2(work);
-        MC_ASSERT(q.push_block(0));
-        MC_ASSERT(q.push_block(1));
+        MC_ASSERT(push_one(q, 0));
+        MC_ASSERT(push_one(q, 1));
         q.close();
         w1.join();
         w2.join();
@@ -341,8 +353,8 @@ TEST(McService, CompetingWorkersDeliverExactlyOnce) {
 // ---------------------------------------------------------------------
 // McShardedDrain — the N-shard close/drain protocol the sharded
 // service's steal-capable workers run (service.cpp worker_loop):
-// pop_batch_for computes `done` (closed && empty) under the same lock
-// as the pop, so "may I exit?" and "did I get the last item?" are one
+// pop_batch computes `done` (closed && empty) under the same lock as
+// the take, so "may I exit?" and "did I get the last item?" are one
 // atomic question.  The two-step alternative — a timed pop returning 0
 // followed by a separate closed() probe — loses the item pushed
 // between the two steps; McMutant.TimedDrainSeparateClosedCheckLosesItem
@@ -368,7 +380,7 @@ TEST(McShardedDrain, DoneImpliesTheOnlyConsumerTookEverything) {
       [] {
         McQueueT q(2);
         mc::Thread p([&] {
-          MC_ASSERT(q.push_block(7));
+          MC_ASSERT(push_one(q, 7));
           q.close();
         });
         int drained = 0;
@@ -376,7 +388,7 @@ TEST(McShardedDrain, DoneImpliesTheOnlyConsumerTookEverything) {
         std::vector<int> out;
         for (int probe = 0; probe < 2 && !done; ++probe) {
           out.clear();
-          const auto result = q.pop_batch_for(out, 2, kProbeTimeout);
+          const auto result = q.pop_batch(out, 2, kProbeTimeout);
           drained += static_cast<int>(result.taken);
           done = result.done;
           if (done) MC_ASSERT(drained == 1);  // exit implies drained
@@ -384,9 +396,9 @@ TEST(McShardedDrain, DoneImpliesTheOnlyConsumerTookEverything) {
         p.join();
         if (!done) {
           // Closed queue: one call returns the full residue AND done —
-          // no second "see the close" call like pop_batch needs.
+          // no second call to see the close.
           out.clear();
-          const auto result = q.pop_batch_for(out, 2, kProbeTimeout);
+          const auto result = q.pop_batch(out, 2, kProbeTimeout);
           drained += static_cast<int>(result.taken);
           MC_ASSERT(result.done);
         }
@@ -404,7 +416,7 @@ TEST(McShardedDrain, TwoQueueNeighborStealDrainNeverStrandsItems) {
   // The full sharded shape: two shard queues, one producer/closer,
   // two drainers each probing its own queue then stealing from the
   // neighbor (StealPolicy::Neighbor's pop pattern).  After both
-  // drainers and the closer finish, the body's final pop_batch_for on
+  // drainers and the closer finish, the body's final timed pop on
   // each queue must report done immediately, and every item must have
   // been popped exactly once across own-pops, steals, and the final
   // sweep.
@@ -424,17 +436,17 @@ TEST(McShardedDrain, TwoQueueNeighborStealDrainNeverStrandsItems) {
           }
         };
         mc::Thread p([&] {
-          MC_ASSERT(q0.push_block(7));
-          MC_ASSERT(q1.push_block(8));
+          MC_ASSERT(push_one(q0, 7));
+          MC_ASSERT(push_one(q1, 8));
           q0.close();
           q1.close();
         });
         auto drain_pass = [&](McQueueT& own, McQueueT& victim) {
           std::vector<int> out;
-          (void)own.pop_batch_for(out, 2, kProbeTimeout);
+          (void)own.pop_batch(out, 2, kProbeTimeout);
           tally(out);
           out.clear();
-          (void)victim.try_pop_batch(out, 2);  // the neighbor steal
+          (void)victim.pop_batch(out, 2, kNoWait);  // the neighbor steal
           tally(out);
         };
         mc::Thread d0([&] { drain_pass(q0, q1); });
@@ -445,11 +457,11 @@ TEST(McShardedDrain, TwoQueueNeighborStealDrainNeverStrandsItems) {
         // Quiescent sweep: both queues are closed, so one call each
         // must take any residue and report done at the same time.
         std::vector<int> out;
-        const auto r0 = q0.pop_batch_for(out, 2, kProbeTimeout);
+        const auto r0 = q0.pop_batch(out, 2, kProbeTimeout);
         tally(out);
         MC_ASSERT(r0.done);
         out.clear();
-        const auto r1 = q1.pop_batch_for(out, 2, kProbeTimeout);
+        const auto r1 = q1.pop_batch(out, 2, kProbeTimeout);
         tally(out);
         MC_ASSERT(r1.done);
         // No loss, no duplication across own-pop, steal, and sweep.
@@ -483,9 +495,9 @@ void expect_replayable_failure(const std::function<void()>& body,
 TEST(McMutant, QueueLostNotEmptyWakeupDeadlocks) {
   auto body = [] {
     McQueueT q(1);
-    mc::Thread p([&] { MC_ASSERT(q.push_block(7)); });
+    mc::Thread p([&] { MC_ASSERT(push_one(q, 7)); });
     std::vector<int> out;
-    while (out.empty()) (void)q.pop_batch(out, 1);
+    while (out.empty()) (void)q.pop_batch(out, 1, kForever);
     p.join();
     MC_ASSERT(out[0] == 7);
   };
@@ -509,14 +521,14 @@ TEST(McMutant, QueueLostNotFullWakeupDeadlocks) {
   auto body = [] {
     McQueueT q(1);
     mc::Thread p([&] {
-      MC_ASSERT(q.push_block(1));
-      MC_ASSERT(q.push_block(2));  // blocks on the full queue
+      MC_ASSERT(push_one(q, 1));
+      MC_ASSERT(push_one(q, 2));  // blocks on the full queue
     });
     std::vector<int> seen;
     std::vector<int> out;
     while (seen.size() < 2) {
       out.clear();
-      (void)q.pop_batch(out, 1);
+      (void)q.pop_batch(out, 1, kForever);
       seen.insert(seen.end(), out.begin(), out.end());
     }
     p.join();
@@ -535,7 +547,7 @@ TEST(McMutant, QueueLostCloseWakeupDeadlocks) {
     McQueueT q(1);
     mc::Thread c([&] {
       std::vector<int> out;
-      (void)q.pop_batch(out, 1);  // returns 0 after close
+      (void)q.pop_batch(out, 1, kForever);  // returns done after close
       MC_ASSERT(out.empty());
     });
     q.close();
@@ -652,11 +664,11 @@ TEST(McMutant, ServicePublishBeforeResultCaught) {
     mc::atomic<int> done{0};
     mc::Thread worker([&] {
       std::vector<int> out;
-      while (out.empty()) (void)q.pop_batch(out, 1);
+      while (out.empty()) (void)q.pop_batch(out, 1, kForever);
       done.store(1, std::memory_order_release);  // MUTANT: before result
       result.store(out[0] * 2, std::memory_order_relaxed);
     });
-    MC_ASSERT(q.push_block(21));
+    MC_ASSERT(push_one(q, 21));
     if (done.load(std::memory_order_acquire) == 1) {
       MC_ASSERT(result.load(std::memory_order_relaxed) == 42);
     }
@@ -679,7 +691,7 @@ TEST(McMutant, TimedDrainSeparateClosedCheckLosesItem) {
   auto body = [] {
     McQueueT q(2);
     mc::Thread p([&] {
-      MC_ASSERT(q.push_block(7));
+      MC_ASSERT(push_one(q, 7));
       q.close();
     });
     int drained = 0;
@@ -687,7 +699,7 @@ TEST(McMutant, TimedDrainSeparateClosedCheckLosesItem) {
     std::vector<int> out;
     for (int probe = 0; probe < 3 && !exited; ++probe) {
       out.clear();
-      drained += static_cast<int>(q.pop_batch_for(out, 2, kProbeTimeout).taken);
+      drained += static_cast<int>(q.pop_batch(out, 2, kProbeTimeout).taken);
       // MUTANT: ignore PopResult::done; re-derive the exit condition
       // from a second, separately-locked probe.
       if (out.empty() && q.closed()) exited = true;
@@ -695,7 +707,7 @@ TEST(McMutant, TimedDrainSeparateClosedCheckLosesItem) {
     p.join();
     if (!exited) {
       out.clear();
-      drained += static_cast<int>(q.pop_batch_for(out, 2, kProbeTimeout).taken);
+      drained += static_cast<int>(q.pop_batch(out, 2, kProbeTimeout).taken);
     }
     MC_ASSERT(drained == 1);
   };

@@ -12,14 +12,18 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -657,6 +661,89 @@ TEST(NetLoopback, GarbageBytesCloseTheConnection) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(NetLoopback, SlowReaderIsClosedPastTheWriteCap) {
+  // A peer that sends requests but never reads its responses: once
+  // both kernel buffers are full, responses pile up in the server's
+  // write buffer, and past ServerConfig::max_write_buffer the server
+  // must hang up rather than buffer without bound.
+  const int width = 1024, window = 16;
+  AdderService service(service_config(width, window, OverflowPolicy::Block));
+  net::ServerConfig server_config;
+  server_config.max_write_buffer = 16 * 1024;
+  net::Server server(server_config, service);
+  const auto slow_closes = [&service] {
+    long long value = 0;
+    for (const auto& [name, v] : service.registry().snapshot().counters) {
+      if (name == "net.slow_client_closes") value = v;
+    }
+    return value;
+  };
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // A small receive window (set before connect, so it is what the
+  // handshake advertises) keeps the kernel from absorbing the backlog,
+  // and the timeouts turn a server that never hangs up into a failure
+  // instead of a hang.
+  const int rcvbuf = 4096;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
+  const timeval timeout{5, 0};
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout)), 0);
+  ASSERT_EQ(
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+
+  // 60k width-1024 requests answer with 9.6 MB of responses, over twice
+  // the largest send buffer Linux autotunes to by default (4 MiB) plus
+  // the cap; the server normally hangs up long before the bound.
+  const int kMaxRequests = 60000;
+  util::Rng rng(0x510e);
+  const BitVec a = random_vec(rng, width);
+  const BitVec b = random_vec(rng, width);
+  std::vector<std::uint8_t> bytes;
+  int sent = 0;
+  while (sent < kMaxRequests) {
+    bytes.clear();
+    net::encode_request(static_cast<std::uint64_t>(sent) + 1, window, a, b,
+                        bytes);
+    if (::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+        static_cast<ssize_t>(bytes.size())) {
+      break;  // the server hung up (or stopped reading)
+    }
+    ++sent;
+  }
+  EXPECT_GT(sent, 0);
+  for (int i = 0; i < 1000 && slow_closes() < 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(slow_closes(), 1) << "after " << sent << " requests";
+
+  // Whatever the kernel still holds for us is readable; after it, the
+  // socket must report the close, not time out.
+  std::vector<std::uint8_t> sink(64 * 1024);
+  ssize_t n;
+  while ((n = ::read(fd, sink.data(), sink.size())) > 0) {
+  }
+  const int err = errno;
+  EXPECT_TRUE(n == 0 || (n < 0 && err == ECONNRESET))
+      << "expected EOF or reset, got n=" << n << " errno=" << err;
+  ::close(fd);
+
+  // The cap is per connection: a well-behaved client is still served.
+  net::Client client("127.0.0.1", server.port());
+  const BitVec c = random_vec(rng, width);
+  const ResponseFrame ok = client.call(a, c);
+  ASSERT_EQ(ok.status, Status::Ok);
+  EXPECT_EQ(ok.sum, a + c);
 }
 
 TEST(NetLoopback, GracefulShutdownDrainsOutstanding) {

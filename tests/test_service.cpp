@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <future>
 #include <mutex>
 #include <optional>
@@ -359,34 +360,59 @@ TEST(ServiceTelemetry, FastPathMinimumLatencyIsOneCycle) {
   EXPECT_EQ(counter_value(snap, "service.recovered"), 0);
 }
 
+// One item through the queue's only push.
+bool push_one(service::BoundedQueue<int>& queue, int item, bool wait) {
+  return queue.push({&item, 1}, wait) == 1;
+}
+
+constexpr std::chrono::microseconds kNoWait{0};
+constexpr auto kForever = service::BoundedQueue<int>::kForever;
+
 TEST(BoundedQueue, PushPopBatchBasics) {
   service::BoundedQueue<int> queue(4);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
-  EXPECT_TRUE(queue.try_push(3));
-  EXPECT_TRUE(queue.try_push(4));
-  EXPECT_FALSE(queue.try_push(5));  // full
+  EXPECT_TRUE(push_one(queue, 1, false));
+  EXPECT_TRUE(push_one(queue, 2, false));
+  EXPECT_TRUE(push_one(queue, 3, false));
+  EXPECT_TRUE(push_one(queue, 4, false));
+  EXPECT_FALSE(push_one(queue, 5, false));  // full
   std::vector<int> out;
-  EXPECT_EQ(queue.try_pop_batch(out, 3), 3u);
+  EXPECT_EQ(queue.pop_batch(out, 3, kNoWait).taken, 3u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(queue.try_push(5));  // space again
+  EXPECT_TRUE(push_one(queue, 5, false));  // space again
   out.clear();
-  EXPECT_EQ(queue.try_pop_batch(out, 10), 2u);
+  EXPECT_EQ(queue.pop_batch(out, 10, kNoWait).taken, 2u);
   EXPECT_EQ(out, (std::vector<int>{4, 5}));
-  EXPECT_EQ(queue.try_pop_batch(out, 10), 0u);
+  EXPECT_EQ(queue.pop_batch(out, 10, kNoWait).taken, 0u);
+}
+
+TEST(BoundedQueue, PushWithoutWaitTakesTheLeadingItemsThatFit) {
+  // The admission path relies on this: what the queue does not take is
+  // handed back to the caller intact (try_submit_callback returns the
+  // operands of a missed request).
+  service::BoundedQueue<std::string> queue(2);
+  std::vector<std::string> items{"a", "b", "c"};
+  EXPECT_EQ(queue.push(items, false), 2u);
+  EXPECT_EQ(items[2], "c");
+  std::vector<std::string> out;
+  EXPECT_EQ(queue.pop_batch(out, 8, kNoWait).taken, 2u);
+  EXPECT_EQ(out, (std::vector<std::string>{"a", "b"}));
+  queue.close();
+  std::vector<std::string> late{"d"};
+  EXPECT_EQ(queue.push(late, true), 0u);  // closed: takes nothing
+  EXPECT_EQ(late[0], "d");
 }
 
 TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   service::BoundedQueue<int> queue(8);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_TRUE(push_one(queue, 1, false));
+  EXPECT_TRUE(push_one(queue, 2, false));
   queue.close();
-  EXPECT_FALSE(queue.try_push(3));
+  EXPECT_FALSE(push_one(queue, 3, false));
   std::vector<int> out;
   // A closed queue drains...
-  EXPECT_EQ(queue.pop_batch(out, 64), 2u);
+  EXPECT_EQ(queue.pop_batch(out, 64, kForever).taken, 2u);
   // ...and then reports shutdown immediately (no block).
-  EXPECT_EQ(queue.pop_batch(out, 64), 0u);
+  EXPECT_EQ(queue.pop_batch(out, 64, kForever).taken, 0u);
 }
 
 // Like counter_value but tolerant of a not-yet-registered name: used
@@ -765,26 +791,26 @@ TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
   // lock as the pop, so a drainer can never see (taken == 0, done ==
   // false) forever nor exit while items remain.  The mc two-queue suite
   // (test_mc_suites.cpp) pins the interleaving; this is the plain unit
-  // coverage.
+  // coverage of the timed pop.
   service::BoundedQueue<int> queue(8);
-  EXPECT_TRUE(queue.try_push(1));
-  EXPECT_TRUE(queue.try_push(2));
+  EXPECT_TRUE(push_one(queue, 1, false));
+  EXPECT_TRUE(push_one(queue, 2, false));
   std::vector<int> out;
   // Open queue with items: taken > 0, not done.
-  auto result = queue.pop_batch_for(out, 64, std::chrono::microseconds(1000));
+  auto result = queue.pop_batch(out, 64, std::chrono::microseconds(1000));
   EXPECT_EQ(result.taken, 2u);
   EXPECT_FALSE(result.done);
   // Open queue, empty: times out with nothing, still not done.
   out.clear();
-  result = queue.pop_batch_for(out, 64, std::chrono::microseconds(1000));
+  result = queue.pop_batch(out, 64, std::chrono::microseconds(1000));
   EXPECT_EQ(result.taken, 0u);
   EXPECT_FALSE(result.done);
   // Closed with a residual item: the pop that takes the last item also
   // reports done — one call, no separate closed() check.
-  EXPECT_TRUE(queue.try_push(3));
+  EXPECT_TRUE(push_one(queue, 3, false));
   queue.close();
   out.clear();
-  result = queue.pop_batch_for(out, 64, std::chrono::microseconds(1'000'000));
+  result = queue.pop_batch(out, 64, std::chrono::microseconds(1'000'000));
   EXPECT_EQ(result.taken, 1u);
   EXPECT_EQ(out, (std::vector<int>{3}));
   EXPECT_TRUE(result.done);
