@@ -3,15 +3,16 @@
 //
 // Four experiments (plus a tracing-overhead check):
 //   1. Batching ablation — saturating multi-producer load, worker count
-//      x scheduler batch size.  Packing 64 outstanding requests into
-//      one bit-sliced evaluation is the service's whole throughput
-//      argument; the acceptance floor is 5x over the batch-size-1
-//      scheduler at 8 workers.
-//   1b. SIMD lane width — one dispatcher core, wide operands: batch-64
-//      (the scalar kernel) vs the machine's AVX2/AVX-512 lane widths.
-//      The acceptance floor is 1.5x single-core on SIMD hardware; the
-//      section is also written standalone to BENCH_simd.json, the perf
-//      trajectory's first data point.
+//      x scheduler batch size.  Each request is evaluated in its own
+//      limbs, so a batch of 64 amortizes only the per-pop work (queue
+//      transaction, clock tick, telemetry); the acceptance floor is 5x
+//      over the batch-size-1 scheduler at 8 workers.
+//   1b. Pop size — one dispatcher core, wide operands: max_batch 64 vs
+//      the machine's AVX2/AVX-512 lane counts, which set max_batch's
+//      auto value.  Every tier runs the same row-major evaluator, so
+//      this measures the pop size alone.  The acceptance floor is 1.5x
+//      single-core on SIMD hardware; the section is also written
+//      standalone to BENCH_simd.json.
 //   2. Tail latency vs operand distribution at a fixed Poisson arrival
 //      rate.  Uniform traffic flags ~never (p50 == p999 == a few
 //      cycles); near-complementary traffic flags ~always and the serial
@@ -60,7 +61,7 @@ using namespace vlsa;
 constexpr int kWidth = 64;
 constexpr int kProducers = 4;
 /// max_batch of the fixed-size configs: the scalar tier's lane count,
-/// which every ISA evaluates on the same 64-lane kernel.
+/// the auto max_batch under VLSA_FORCE_ISA=scalar.
 const int kScalarLanes = sim::isa_lanes(sim::Isa::Scalar);
 
 service::ServiceConfig base_config(int workers, int max_batch,
@@ -342,9 +343,9 @@ int main(int argc, char** argv) {
   double rate_batch1_at8 = 0.0, rate_batch64_at8 = 0.0;
   for (int workers : {1, 2, 4, 8}) {
     for (int max_batch : {1, kScalarLanes}) {
-      // The batch-1 scheduler pays a full queue transaction and a full
-      // sliced evaluation per request — give it a smaller request count
-      // so the sweep stays quick.
+      // The batch-1 scheduler pays a full queue transaction, clock tick
+      // and telemetry round per request — give it a smaller request
+      // count so the sweep stays quick.
       const long long requests = max_batch == 1 ? 120'000 : 480'000;
       const auto point = measure_throughput(workers, max_batch, requests);
       if (workers == 8 && max_batch == 1) {
@@ -375,15 +376,12 @@ int main(int argc, char** argv) {
 
   bench::banner(
       "SIMD lane width — one dispatcher core, width-1024 operands");
-  // At width 64 a fast-path request costs ~10ns of engine time against
-  // ~150ns of queue/promise bookkeeping, so lane width cannot move the
-  // end-to-end number; at width 1024 the evaluation dominates and the
-  // SIMD win is visible through the full service stack.  One dispatcher
-  // worker = single-core engine throughput (producers only feed the
-  // queue).  The batch-64 row always resolves to the scalar kernel
-  // (sim::lanes_for_batch), so it IS the pre-SIMD baseline; wider rows
-  // add one tier at a time up to what this machine supports (or what
-  // VLSA_FORCE_ISA pins).
+  // One dispatcher worker = single-core service throughput (producers
+  // only feed the queue), at width 1024.  Every row evaluates each
+  // request with the same row-major loop; the rows differ only in
+  // max_batch, the lane count of one tier at a time up to what this
+  // machine supports (or what VLSA_FORCE_ISA pins), so the ratio is
+  // what larger pops amortize, not a SIMD kernel speedup.
   constexpr int kSimdWidth = 1024;
   constexpr long long kSimdRequests = 192'000;
   struct SimdPoint {

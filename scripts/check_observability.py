@@ -24,7 +24,6 @@ import sys
 EXPECTED_EVENT_NAMES = {
     "submit",
     "queue-wait",
-    "batch-pack",
     "engine-eval",
     "er-check",
     "recovery",

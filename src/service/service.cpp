@@ -1,7 +1,6 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -9,9 +8,11 @@
 #ifdef __linux__
 #include <pthread.h>
 #include <sched.h>
+#include <sys/prctl.h>
 #endif
 
 #include "core/aca.hpp"
+#include "sim/isa.hpp"
 #include "trace/drift.hpp"
 #include "trace/postmortem.hpp"
 #include "trace/trace.hpp"
@@ -48,7 +49,7 @@ ServiceConfig validated(ServiceConfig config) {
     const int per_shard = std::max(1, config.workers / config.shards);
     config.workers = per_shard * config.shards;
   }
-  // 0 = auto: pack to the SIMD lane width this process dispatches on.
+  // 0 = auto: pop up to the SIMD lane width this process dispatches on.
   const int lanes = sim::active_lanes();
   config.max_batch =
       config.max_batch == 0 ? lanes : std::clamp(config.max_batch, 1, lanes);
@@ -94,6 +95,41 @@ constexpr std::chrono::microseconds kStealPoll{200};
 
 /// Pop timeout of a glance: take what is queued, never sleep.
 constexpr std::chrono::microseconds kNoWait{0};
+
+/// How long a worker sleeps before its next pop after a pop that took
+/// more than one request but emptied the queue without filling a pop
+/// (see worker_loop's full_pop).  Then requests arrive faster than one
+/// per cycle, yet the worker keeps up, so the pause lets the next batch
+/// grow.  A lone request never waits, and neither does a backlog: a
+/// full pop goes straight on.  A sleeping worker is not a waiting
+/// consumer, so pushes during the pause wake nobody.
+///
+/// It is a stopgap for the queue hand-off, with a constant tuned on one
+/// host (a 4-vCPU KVM guest, where a sweep of 10, 20 and 40 µs favoured
+/// 20).  A row-major batch finishes in a few microseconds, so without
+/// the pause a worker parks every few requests and every push to a
+/// parked worker pays a wakeup: wallbench's saturated inproc_uniform
+/// batches shrank to about 5 requests and it lost about a quarter of
+/// its throughput.  Open-loop traffic that arrives during a pause pays
+/// for it.  In bench/service_throughput (10 runs a side, same host) the
+/// tail-latency section's uniform p50 rose from 3.3 to 4.1 µs (p99
+/// 20.5 to 21.5 µs) and the bursty p99 from 22.5 to 36.9 µs against
+/// the packed 64-lane path; `vlsa_tool loadgen 64` at 50k to 400k/s
+/// Poisson, with 1 or 4 workers, read p50 and p99 no worse than it.
+/// A per-shard dispatch token would remove the hand-off instead
+/// (ROADMAP item 4).
+constexpr std::chrono::microseconds kCoalesce{20};
+
+/// Best-effort: make this thread's short sleeps end on time.  Linux
+/// rounds a sleep up by the thread's timer slack, 50 µs by default,
+/// which would stretch the kCoalesce pause to about 70 µs of idle
+/// worker.  It applies to every timed wait of the worker, so the
+/// kStealPoll parks end on time too.
+void tighten_timer_slack() {
+#ifdef __linux__
+  (void)prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);  // ns
+#endif
+}
 
 }  // namespace
 
@@ -343,9 +379,13 @@ AdderService::submit_many(std::vector<std::pair<BitVec, BitVec>> ops) {
 void AdderService::worker_loop(std::size_t shard_index) {
   Shard& shard = *shards_[shard_index];
   const auto max_batch = static_cast<std::size_t>(config_.max_batch);
+  // The largest pop the queue can give: a pop this big means a backlog
+  // (with Block producers perhaps waiting for space), never a pause.
+  const std::size_t full_pop = std::min(max_batch, config_.queue_capacity);
   std::vector<Request> batch;
   batch.reserve(max_batch);
-  sim::WideResult scratch;
+  DispatchScratch scratch;
+  tighten_timer_slack();
   // Without stealing, block on the own queue until work or the close.
   // With stealing, park there for at most kStealPoll, then try one
   // non-blocking pop from the right-hand neighbor; right after a steal
@@ -353,7 +393,9 @@ void AdderService::worker_loop(std::size_t shard_index) {
   // further stealing.  Exit only on the own queue's atomic
   // closed-and-empty signal — checking closed() separately after a
   // timeout is exactly the lost-item drain race the mc two-queue suite
-  // pins down (see BoundedQueue::PopResult).
+  // pins down (see BoundedQueue::PopResult).  After an own-queue pop
+  // that took more than one request but less than a full pop, sleep
+  // for kCoalesce first.
   const bool steal =
       config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
   Shard* const victim =
@@ -377,23 +419,21 @@ void AdderService::worker_loop(std::size_t shard_index) {
       stole = true;
     }
     batch.clear();
+    if (own.taken > 1 && own.taken < full_pop) {
+      std::this_thread::sleep_for(kCoalesce);
+    }
   }
 }
 
 std::size_t AdderService::dispatch(std::vector<Request>& batch,
-                                   sim::WideResult& scratch, Shard& shard,
+                                   DispatchScratch& scratch, Shard& shard,
                                    std::size_t shard_index, bool stolen) {
   // Depth is sampled per batch, not per submission: the gauge is a
   // load indicator and must stay off the producers' hot path.
   const auto depth = static_cast<long long>(shard.queue.size());
   queue_depth_.set(depth);
   if (shard.queue_depth != nullptr) shard.queue_depth->set(depth);
-  const int width = config_.pipeline.width;
   const int window = config_.pipeline.window;
-  // Evaluate at the smallest lane count that fits this batch: a
-  // partial pop (or the batch-1 baseline) keeps the 64-lane cost, a
-  // full SIMD-width pop runs one AVX2/AVX-512 evaluation.
-  const int lanes = sim::lanes_for_batch(static_cast<int>(batch.size()));
   // One modeled cycle per dispatched batch on THIS shard's clock —
   // each shard models an independent VLSA functional unit, so N shards
   // advance N clocks in parallel and the makespan (now_cycles(), the
@@ -415,27 +455,26 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   const bool trace_er_check = sampled || trace_recovery;
   const auto batch_id = static_cast<std::uint64_t>(round);
 
-  // Operands are *moved* into the transpose input.  A fast-path lane's
-  // sum is unpacked into its own first operand, which then becomes the
-  // completion's sum, so the fast path allocates no sum; a flagged lane
-  // keeps its pair for the exact add.
-  const std::uint64_t t_pack = sampled ? trace::now_ns() : 0;
-  std::vector<std::pair<BitVec, BitVec>> pairs;
-  pairs.reserve(batch.size());
-  for (auto& request : batch) {
-    pairs.emplace_back(std::move(request.a), std::move(request.b));
-  }
-  const sim::WideBatch ops = sim::wide_transpose_batch(pairs, width, lanes);
-  if (sampled) {
-    trace::EventArgs args;
-    args.batch = batch_id;
-    args.k = window;
-    args.lane = static_cast<int>(batch.size());  // occupancy, not a lane
-    args.shard = trace_shard;
-    trace::emit_complete(trace::EventName::kBatchPack, t_pack, args);
-  }
+  // Evaluate every request in its own limbs.  An unflagged request's
+  // sum is copied over its first operand, so the fast path allocates
+  // nothing; a flagged request keeps both operands for the postmortem
+  // ring and the recovery span.
   const std::uint64_t t_eval = sampled ? trace::now_ns() : 0;
-  sim::wide_aca_add_into(ops, window, nullptr, scratch);
+  if (scratch.spare.width() != config_.pipeline.width) {
+    scratch.spare = BitVec(config_.pipeline.width);
+  }
+  scratch.flags.resize(batch.size());
+  std::uint64_t n_flagged = 0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    Request& request = batch[i];
+    scratch.flags[i] = sim::row_aca_add(request.a, request.b, window,
+                                        scratch.spare, scratch.run);
+    if (scratch.flags[i].flagged) {
+      ++n_flagged;
+    } else {
+      request.a.limbs() = scratch.spare.limbs();
+    }
+  }
   if (sampled) {
     trace::EventArgs args;
     args.batch = batch_id;
@@ -445,9 +484,7 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   }
 
   if (config_.drift != nullptr) {
-    config_.drift->record_batch(
-        batch.size(), static_cast<std::uint64_t>(scratch.flagged_count(
-                          static_cast<int>(batch.size()))));
+    config_.drift->record_batch(batch.size(), n_flagged);
   }
 
   batches_.increment();
@@ -457,11 +494,6 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   }
   batch_occupancy_.record(batch.size());
 
-  std::vector<BitVec*> sum_slots;
-  sum_slots.reserve(pairs.size());
-  for (auto& pair : pairs) sum_slots.push_back(&pair.first);
-  sim::wide_lane_values_into(scratch.sum_spec, width, lanes, sum_slots,
-                             scratch.flagged.data());
   // Telemetry is aggregated over the batch: requests that arrived in
   // the same cycle (every submit_many chunk) share one latency, so runs
   // collapse into one record_n and the counters into one increment each
@@ -472,7 +504,7 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
   for (std::size_t lane = 0; lane < batch.size(); ++lane) {
     Request& request = batch[lane];
     Completion completion;
-    completion.flagged = scratch.flagged_lane(static_cast<int>(lane));
+    completion.flagged = scratch.flags[lane].flagged;
     completion.shard = static_cast<int>(shard_index);
     trace::EventArgs args;
     args.batch = batch_id;
@@ -487,8 +519,9 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
                            trace::to_session_ns(request.arrival_time), args);
     }
     if (!completion.flagged) {
-      // Soundness: ER clear implies the speculative sum is exact.
-      completion.sum = std::move(pairs[lane].first);
+      // ER clear: by soundness the one-cycle speculative answer is
+      // this exact sum, which the eval pass left in `a`.
+      completion.sum = std::move(request.a);
       // Clamped at the 1-cycle floor: a STOLEN request was stamped
       // against its home shard's clock but completes on the thief's,
       // and the two clocks are unordered.
@@ -496,8 +529,7 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
           std::max<long long>(1, round + 1 - request.arrival_cycle);
       if (sampled) trace::emit_instant(trace::EventName::kComplete, args);
     } else {
-      completion.speculative_wrong =
-          scratch.wrong_lane(static_cast<int>(lane));
+      completion.speculative_wrong = scratch.flags[lane].wrong;
       if (trace_er_check) {
         trace::emit_instant(trace::EventName::kErCheck, args);
       }
@@ -513,11 +545,11 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
         completion.latency_cycles = std::max<long long>(
             1, shard.recovery_free_at - request.arrival_cycle);
       }
-      // Recompute the sum exactly — the software twin of the paper's
-      // recovery adder stage.
-      const auto& [a, b] = pairs[lane];
+      // Recompute the sum exactly, in place — the software twin of the
+      // paper's recovery adder stage.  The operands are read first.
+      BitVec& a = request.a;
+      const BitVec& b = request.b;
       const std::uint64_t t_start = trace_recovery ? trace::now_ns() : 0;
-      completion.sum = a.add_with_carry(b).sum;
       if (config_.postmortem != nullptr) {
         config_.postmortem->record(a, b, window, completion.speculative_wrong,
                                    batch_id, args.lane, t_start);
@@ -527,6 +559,10 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
         args.a_lo = a.limbs()[0];
         args.b_lo = b.limbs()[0];
         args.has_operands = true;
+      }
+      a.add_into(b, a);
+      completion.sum = std::move(a);
+      if (trace_recovery) {
         trace::emit_complete(trace::EventName::kRecovery, t_start, args);
         trace::emit_instant(trace::EventName::kComplete, args);
       }
@@ -576,7 +612,6 @@ std::size_t AdderService::pump() {
     throw std::logic_error("AdderService::pump: only valid with workers=0");
   }
   std::vector<Request> batch;
-  sim::WideResult scratch;
   const auto max_batch = static_cast<std::size_t>(config_.max_batch);
   const std::size_t n_shards = shards_.size();
   // Rotate so no shard starves when several hold work; pump mode is
@@ -586,7 +621,7 @@ std::size_t AdderService::pump() {
     Shard& shard = *shards_[idx];
     if (shard.queue.pop_batch(batch, max_batch, kNoWait).taken == 0) continue;
     pump_next_ = (idx + 1) % n_shards;
-    return dispatch(batch, scratch, shard, idx, false);
+    return dispatch(batch, pump_scratch_, shard, idx, false);
   }
   return 0;
 }

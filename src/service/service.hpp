@@ -1,16 +1,17 @@
 #pragma once
 // AdderService — arithmetic as a service: a concurrent request server
-// over the bit-sliced batch engine (sim/batch_engine.hpp).
+// over the row-major ACA evaluator (sim/row_kernel.hpp).
 //
 // The paper's processor sketch (Sec. 5) treats the VLSA as a shared
 // functional unit: many in-flight additions, almost all answered in one
 // cycle, the rare ER flag paying a recovery penalty.  This layer is the
 // system-scale version of that argument.  Producers submit operand
 // pairs into a bounded MPMC queue; a dispatcher takes whatever its
-// queue holds, up to the detected SIMD lane width (64/256/512 — see
-// sim/isa.hpp), without waiting for more, evaluates it in ONE
-// `wide_aca_add` call, and completes the unflagged majority
-// immediately — soundness (`wrong & ~flagged == 0`, tested in
+// queue holds, up to `max_batch`, without waiting for more (under load
+// it may pause between pops so batches grow; see `max_batch`), evaluates
+// each request in its own limbs (`sim::row_aca_add`: sum, ER flag and
+// mispredict bit), and completes the unflagged majority immediately —
+// soundness (`wrong` implies `flagged`, tested in
 // tests/test_batch_engine.cpp) guarantees the fast path returns the
 // exact sum.  The same dispatcher recomputes each flagged request's
 // exact sum in place and charges it to a modeled serial *recovery
@@ -70,7 +71,7 @@
 #include <vector>
 
 #include "service/bounded_queue.hpp"
-#include "sim/batch_engine.hpp"
+#include "sim/row_kernel.hpp"
 #include "sim/vlsa_pipeline.hpp"
 #include "telemetry/registry.hpp"
 #include "util/bitvec.hpp"
@@ -136,14 +137,19 @@ struct ServiceConfig {
   /// hardware_concurrency).  Linux-only; a no-op elsewhere and off by
   /// default — pinning helps dedicated hosts and hurts shared ones.
   bool pin_threads = false;
-  /// Most requests packed per batch-engine evaluation, in
-  /// [1, sim::active_lanes()].  0 (the default) packs to the detected
-  /// SIMD lane width (64 scalar, 256 AVX2, 512 AVX-512 — or whatever
-  /// VLSA_FORCE_ISA pins).  1 gives the no-batching baseline the
-  /// throughput bench compares against.  A dispatcher never waits for a
-  /// batch to fill: it takes what its queue holds, up to this bound,
-  /// and evaluates at the smallest lane count that fits
-  /// (sim::lanes_for_batch), so small batches keep the 64-lane cost.
+  /// Most requests one dispatcher pop takes, in
+  /// [1, sim::active_lanes()].  0 (the default) takes up to the
+  /// detected SIMD lane width (64 scalar, 256 AVX2, 512 AVX-512 — or
+  /// whatever VLSA_FORCE_ISA pins).  1 gives the no-batching baseline
+  /// the throughput bench compares against.  A pop never waits for a
+  /// batch to fill: it takes what the queue holds, up to this bound.
+  /// Only after a pop that took more than one request yet fewer than
+  /// this bound (and than `queue_capacity`) does a worker sleep for
+  /// 20 µs before the next pop, so batches grow under load while a lone
+  /// request, or a backlog, goes straight through.  Each
+  /// request is evaluated on its own, so the bound sets only how much
+  /// one pop, one modeled cycle and one round of telemetry cover, not
+  /// the cost of an evaluation.
   int max_batch = 0;
   /// Submission queue bound, PER SHARD — the backpressure knob.
   std::size_t queue_capacity = 1024;
@@ -199,9 +205,9 @@ class AdderService {
   std::optional<std::future<Completion>> submit(BitVec a, BitVec b);
 
   /// Submit a batch of additions in one queue transaction — the
-  /// producer-side mirror of the dispatcher's lane-wide batching, and the
+  /// producer-side mirror of the dispatcher's batch pop, and the
   /// way to saturate the service (per-submission locking caps a
-  /// producer long before the batch engine does).  Element i of the
+  /// producer long before the evaluation does).  Element i of the
   /// result corresponds to ops[i]; std::nullopt marks a rejected
   /// request (Reject policy or pump mode with a full queue — under
   /// Block everything is accepted).  Same throw conditions as submit().
@@ -332,14 +338,24 @@ class AdderService {
   /// StealPolicy::Neighbor, the neighbor's), dispatch, and return once
   /// the own queue reports closed and drained.
   void worker_loop(std::size_t shard_index);
-  /// Evaluate one batch on `shard`'s engine and complete every lane on
-  /// the calling thread, in lane order: unflagged lanes take the
-  /// speculative sum, flagged lanes the exact one, charged to the
-  /// shard's modeled recovery lane.  `stolen` marks a batch the
-  /// executing worker took from a neighbor's queue.
-  std::size_t dispatch(std::vector<Request>& batch,
-                       sim::WideResult& scratch, Shard& shard,
-                       std::size_t shard_index, bool stolen);
+  /// One dispatcher's working memory, reused across its batches so a
+  /// steady dispatcher allocates nothing per request.
+  struct DispatchScratch {
+    std::vector<sim::RowFlags> flags;  ///< per request of the batch
+    /// Receives each request's sum.  An unflagged request copies it
+    /// over its first operand rather than swapping buffers: a swap
+    /// hands one producer's buffer to another to free, which cost
+    /// inproc_uniform about 8% of its throughput.
+    BitVec spare;
+    std::vector<std::uint64_t> run;  ///< the evaluator's run mask
+  };
+  /// Evaluate every request of one batch in its own limbs, then
+  /// complete each on the calling thread, in batch order: an unflagged
+  /// request takes the evaluated sum, a flagged one is summed again in
+  /// place and charged to the shard's modeled recovery lane.  `stolen`
+  /// marks a batch the executing worker took from a neighbor's queue.
+  std::size_t dispatch(std::vector<Request>& batch, DispatchScratch& scratch,
+                       Shard& shard, std::size_t shard_index, bool stolen);
   /// Hand the finished completion to whichever channel the request
   /// carries (callback or promise).
   static void deliver(Request& request, Completion&& completion);
@@ -373,8 +389,9 @@ class AdderService {
   //    queue.closed() and throw rather than silently drop).
   std::atomic<std::uint64_t> rr_next_{0};
   /// Pump mode is single-threaded by definition, so plain rotation
-  /// state is fine here.
+  /// state and one shared scratch are fine here.
   std::size_t pump_next_ = 0;
+  DispatchScratch pump_scratch_;
 
   std::atomic<long long> inflight_{0};
   std::atomic<bool> closed_{false};

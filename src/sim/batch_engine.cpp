@@ -44,26 +44,9 @@ void check_wide(const WideBatch& ops, int k) {
   }
 }
 
-/// Bit i of lane j sits at bit j % 64 of word `i * words + j / 64`.
-/// These two move one lane between that layout and its limbs bit by
-/// bit — `width` word accesses, no transpose — for batches of at most
-/// kDirectLanes lanes.  deposit_lane ORs into a zeroed slice;
-/// extract_lane overwrites every limb, leaving the bits above `width`
-/// zero.
-void deposit_lane(const std::uint64_t* limbs, int width, int words, int lane,
-                  std::uint64_t* sliced) {
-  std::uint64_t* column = sliced + lane / 64;
-  const int bit = lane % 64;
-  for (int limb = 0; limb * 64 < width; ++limb) {
-    const std::uint64_t v = limbs[limb];
-    const int hi = std::min(64, width - limb * 64);
-    std::uint64_t* rows = column + static_cast<std::size_t>(limb) * 64 * words;
-    for (int i = 0; i < hi; ++i) {
-      rows[static_cast<std::size_t>(i) * words] |= ((v >> i) & 1) << bit;
-    }
-  }
-}
-
+/// Read lane `lane` out of the wide slice layout bit by bit (bit i of
+/// lane j sits at bit j % 64 of word `i * words + j / 64`), overwriting
+/// every limb and leaving the bits above `width` zero.
 void extract_lane(const std::uint64_t* sliced, int width, int words, int lane,
                   std::uint64_t* limbs) {
   const std::uint64_t* column = sliced + lane / 64;
@@ -174,15 +157,6 @@ WideBatch wide_transpose_batch(
   }
   WideBatch batch(width, lanes);
   const int words = batch.words();
-  if (used <= kDirectLanes) {
-    for (int lane = 0; lane < used; ++lane) {
-      deposit_lane(pairs[lane].first.limbs().data(), width, words, lane,
-                   batch.a.data());
-      deposit_lane(pairs[lane].second.limbs().data(), width, words, lane,
-                   batch.b.data());
-    }
-    return batch;
-  }
   const int limbs = (width + 63) / 64;
   const detail::Kernels* kn = detail::kernels_for(isa, words);
   const int g_words = kn->group_words;
@@ -234,49 +208,25 @@ util::BitVec wide_lane_value(const std::vector<std::uint64_t>& sliced,
   return v;
 }
 
-void wide_lane_values_into(const std::vector<std::uint64_t>& sliced,
-                           int width, int lanes,
-                           std::span<util::BitVec* const> out,
-                           const std::uint64_t* skip, Isa isa) {
+std::vector<util::BitVec> wide_lane_values(
+    const std::vector<std::uint64_t>& sliced, int width, int lanes,
+    Isa isa) {
   check_lanes(lanes);
   const int words = lanes / 64;
   if (sliced.size() < static_cast<std::size_t>(width) *
                           static_cast<std::size_t>(words)) {
     throw std::invalid_argument("wide_lane_values: slice shorter than width");
   }
-  const int used = static_cast<int>(out.size());
-  if (used > lanes) {
-    throw std::invalid_argument("wide_lane_values: more values than lanes");
-  }
-  const auto skipped = [skip](int lane) {
-    return skip != nullptr && ((skip[lane >> 6] >> (lane & 63)) & 1) != 0;
-  };
-  int written = 0;
-  for (int lane = 0; lane < used; ++lane) {
-    if (skipped(lane)) continue;
-    if (out[lane]->width() != width) {
-      throw std::invalid_argument("wide_lane_values: value width mismatch");
-    }
-    ++written;
-  }
-  if (written <= kDirectLanes) {
-    for (int lane = 0; lane < used; ++lane) {
-      if (!skipped(lane)) {
-        extract_lane(sliced.data(), width, words, lane,
-                     out[lane]->limbs().data());
-      }
-    }
-    return;
-  }
+  std::vector<util::BitVec> values(static_cast<std::size_t>(lanes),
+                                   util::BitVec(width));
   const int limbs = (width + 63) / 64;
   const detail::Kernels* kn = detail::kernels_for(isa, words);
   const int g_words = kn->group_words;
   // Inverse of wide_transpose_batch: the gather side is contiguous
   // copies out of the wide slice, the G-block transpose runs on the
-  // selected tier, and the scatter writes one limb per written lane.
+  // selected tier, and the scatter writes one limb per lane.
   std::vector<std::uint64_t> t(static_cast<std::size_t>(64) * g_words);
-  for (int w0 = 0; w0 * 64 < used; w0 += g_words) {
-    const int group_lanes = std::min(used - w0 * 64, 64 * g_words);
+  for (int w0 = 0; w0 < words; w0 += g_words) {
     for (int limb = 0; limb < limbs; ++limb) {
       const int hi = std::min(64, width - limb * 64);
       for (int i = 0; i < hi; ++i) {
@@ -289,27 +239,12 @@ void wide_lane_values_into(const std::vector<std::uint64_t>& sliced,
                   t.end(), 0);
       }
       kn->transpose64(t.data());
-      for (int idx = 0; idx < group_lanes; ++idx) {
-        const int lane = w0 * 64 + idx;
-        if (skipped(lane)) continue;
-        out[lane]->limbs()[limb] =
+      for (int idx = 0; idx < 64 * g_words; ++idx) {
+        values[static_cast<std::size_t>(w0 * 64 + idx)].limbs()[limb] =
             t[static_cast<std::size_t>(idx % 64) * g_words + idx / 64];
       }
     }
   }
-}
-
-std::vector<util::BitVec> wide_lane_values(
-    const std::vector<std::uint64_t>& sliced, int width, int lanes,
-    Isa isa) {
-  check_lanes(lanes);
-  std::vector<util::BitVec> values(static_cast<std::size_t>(lanes),
-                                   util::BitVec(width));
-  std::vector<util::BitVec*> out(values.size());
-  for (std::size_t lane = 0; lane < values.size(); ++lane) {
-    out[lane] = &values[lane];
-  }
-  wide_lane_values_into(sliced, width, lanes, out, nullptr, isa);
   return values;
 }
 

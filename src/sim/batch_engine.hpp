@@ -27,9 +27,7 @@
 // carry-in path, and the subtraction path (exhaustively at width 8),
 // and forces each kernel tier via VLSA_FORCE_ISA.
 
-#include <bit>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -41,22 +39,6 @@ namespace vlsa::sim {
 
 /// Widest batch any kernel tier produces (AVX-512: 8 words x 64).
 inline constexpr int kMaxBatchLanes = 512;
-
-/// Pack and unpack move at most this many lanes bit by bit, straight
-/// between limbs and the wide slice layout, and use a 64x64 block
-/// transpose per limb above it.  The direct path costs `width` word
-/// accesses per lane and operand, the block path a fixed cost per 64
-/// lanes; at width 1024 both cross near 10 lanes, so a lone service
-/// request skips the transpose.
-inline constexpr int kDirectLanes = 8;
-
-/// Smallest supported lane count that fits `count` requests — the
-/// service uses this so small batches keep the 64-lane cost.
-[[nodiscard]] constexpr int lanes_for_batch(int count) {
-  if (count <= 64) return 64;
-  if (count <= 256) return 256;
-  return kMaxBatchLanes;
-}
 
 /// `lanes` operand pairs in the wide transposed layout; lanes must be a
 /// positive multiple of 64, at most kMaxBatchLanes.  Unused lanes are
@@ -103,17 +85,6 @@ struct WideResult {
     return ((wrong[static_cast<std::size_t>(lane >> 6)] >> (lane & 63)) &
             1) != 0;
   }
-  /// Flagged lanes among the first `used_lanes`.
-  [[nodiscard]] int flagged_count(int used_lanes) const {
-    int count = 0;
-    for (int w = 0; w * 64 < used_lanes; ++w) {
-      std::uint64_t m = flagged[static_cast<std::size_t>(w)];
-      const int rem = used_lanes - w * 64;
-      if (rem < 64) m &= (std::uint64_t{1} << rem) - 1;
-      count += std::popcount(m);
-    }
-    return count;
-  }
 };
 
 /// Evaluate ACA(width, k) on all lanes: the speculative sum, both
@@ -142,11 +113,12 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
                                                  Isa isa = active_isa());
 
 /// Transpose up to `lanes` scalar operand pairs (all of `width`) into a
-/// wide batch; lanes beyond `pairs.size()` are zero.  At most
-/// kDirectLanes pairs are deposited bit by bit; more run the bit-matrix
-/// transpose on the `isa` tier (4/8 blocks per step — see
+/// wide batch; lanes beyond `pairs.size()` are zero.  The bit-matrix
+/// transpose runs on the `isa` tier (4/8 blocks per step — see
 /// wide_kernel.hpp:kernel_transpose64), over the lane groups the pairs
-/// fill.  The result is identical either way and on every tier.
+/// fill; the result is identical on every tier.  Tests and probes use
+/// this to build batches from chosen operands; the service evaluates
+/// requests row-major instead (sim/row_kernel.hpp).
 [[nodiscard]] WideBatch wide_transpose_batch(
     const std::vector<std::pair<util::BitVec, util::BitVec>>& pairs,
     int width, int lanes, Isa isa = active_isa());
@@ -155,21 +127,9 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
 [[nodiscard]] util::BitVec wide_lane_value(
     const std::vector<std::uint64_t>& sliced, int width, int words, int lane);
 
-/// Unpack lanes [0, out.size()) of a wide-sliced signal of `lanes`
-/// lanes into caller-owned values: every limb of `*out[j]`, which must
-/// be `width` bits wide, is overwritten with lane j.  A lane whose bit
-/// is set in the nullable lane mask `skip` is not read, and `out[j]`
-/// is then left as it is (it may be null).  At most kDirectLanes
-/// written lanes are read bit by bit; more take the word-level
-/// un-transpose, the inverse of wide_transpose_batch.
-void wide_lane_values_into(const std::vector<std::uint64_t>& sliced,
-                           int width, int lanes,
-                           std::span<util::BitVec* const> out,
-                           const std::uint64_t* skip = nullptr,
-                           Isa isa = active_isa());
-
-/// All `lanes` lanes of a wide-sliced signal as new values
-/// (wide_lane_values_into over fresh `width`-bit vectors).
+/// All `lanes` lanes of a wide-sliced signal as new `width`-bit values,
+/// through the word-level un-transpose on the `isa` tier (the inverse
+/// of wide_transpose_batch).
 [[nodiscard]] std::vector<util::BitVec> wide_lane_values(
     const std::vector<std::uint64_t>& sliced, int width, int lanes,
     Isa isa = active_isa());

@@ -146,10 +146,9 @@ void kernel_longest_runs(const std::uint64_t* a, const std::uint64_t* b,
 /// interleaved: word r of block g is t[r * kWords + g], and afterwards
 /// bit c of word r of block g is what bit r of word c of block g was.
 /// Interleaved is exactly the wide slice layout restricted to one lane
-/// group, so the service's pack/unpack paths feed this directly.  All
-/// 384 word operations of the scalar transpose become 384 vector
-/// operations covering 4 or 8 blocks — the transpose was the dominant
-/// non-scaling cost of a wide dispatch before this.
+/// group, so wide_transpose_batch and wide_lane_values feed this
+/// directly.  All 384 word operations of the scalar transpose become
+/// 384 vector operations covering 4 or 8 blocks.
 template <class Word>
 void kernel_transpose64(std::uint64_t* t) {
   std::uint64_t m = 0x00000000FFFFFFFFull;

@@ -201,8 +201,6 @@ const char* event_name(EventName name) {
       return "submit";
     case EventName::kQueueWait:
       return "queue-wait";
-    case EventName::kBatchPack:
-      return "batch-pack";
     case EventName::kEngineEval:
       return "engine-eval";
     case EventName::kErCheck:

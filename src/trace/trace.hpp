@@ -7,7 +7,7 @@
 // the telemetry layer (src/telemetry/) already shows its shape — but a
 // histogram cannot answer "why was THIS request slow?".  The tracer
 // answers it: every stage of the request path (submit → queue-wait →
-// batch-pack → engine-eval → ER-check → recovery → complete) emits a
+// engine-eval → ER-check → recovery → complete) emits a
 // typed event carrying the batch id, lane index, window k, and the ER
 // flag, so a Perfetto timeline shows exactly which batch a request rode,
 // whether its lane flagged, and how long its exact recomputation took.
@@ -32,7 +32,7 @@
 //     and discards torn slots; it may run while writers are live.
 //
 // Sampling: `TraceConfig::sample_rate` gates the *detail* events
-// (submit / queue-wait / batch-pack / engine-eval / complete) — the
+// (submit / queue-wait / engine-eval / complete) — the
 // service decides once per batch.  Recovery-path events (er-check /
 // recovery) are always recorded while a session is active
 // (`always_sample_recovery`), because mispredictions are the rare,
@@ -90,8 +90,8 @@ namespace vlsa::trace {
 enum class EventName : std::uint8_t {
   kSubmit = 0,     ///< instant: a submit call queued requests on a shard
   kQueueWait = 1,  ///< span: arrival → dispatcher pop (needs wall clock)
-  kBatchPack = 2,  ///< span: operand transpose into the sliced batch
-  kEngineEval = 3, ///< span: one wide_aca_add_into evaluation
+  // 2 is retired (it was batch-pack); values are stable identifiers.
+  kEngineEval = 3, ///< span: a batch's row-major evaluation
   kErCheck = 4,    ///< instant: a lane's ER flag fired
   kRecovery = 5,   ///< span: a flagged lane's exact recomputation
   kComplete = 6,   ///< instant: completion delivered to the requester

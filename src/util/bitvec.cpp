@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace vlsa::util {
 
@@ -142,25 +143,33 @@ BitVec BitVec::operator^(const BitVec& rhs) const {
   return r;
 }
 
-BitVec::SumWithCarry BitVec::add_with_carry(const BitVec& rhs,
-                                            bool carry_in) const {
+bool BitVec::add_into(const BitVec& rhs, BitVec& out, bool carry_in) const {
   require_same_width(*this, rhs);
-  BitVec sum(width_);
+  require_same_width(*this, out);
   unsigned __int128 carry = carry_in ? 1 : 0;
+  // Limb i of both operands is read before limb i of `out` is written,
+  // so `out` may be *this or rhs.
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
     const unsigned __int128 s =
         static_cast<unsigned __int128>(limbs_[i]) + rhs.limbs_[i] + carry;
-    sum.limbs_[i] = static_cast<std::uint64_t>(s);
+    out.limbs_[i] = static_cast<std::uint64_t>(s);
     carry = s >> 64;
   }
   bool carry_out = carry != 0;
   // The carry out of bit width-1 may live inside the top limb when the
   // width is not a multiple of 64.
   if (width_ % 64 != 0 && !limbs_.empty()) {
-    carry_out = (sum.limbs_.back() >> (width_ % 64)) & 1;
+    carry_out = (out.limbs_.back() >> (width_ % 64)) & 1;
   }
-  sum.canonicalize();
-  return {sum, carry_out};
+  out.canonicalize();
+  return carry_out;
+}
+
+BitVec::SumWithCarry BitVec::add_with_carry(const BitVec& rhs,
+                                            bool carry_in) const {
+  BitVec sum(width_);
+  const bool carry_out = add_into(rhs, sum, carry_in);
+  return {std::move(sum), carry_out};
 }
 
 BitVec BitVec::operator+(const BitVec& rhs) const {

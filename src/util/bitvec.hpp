@@ -74,6 +74,11 @@ class BitVec {
   struct SumWithCarry;  // defined after the class (holds a BitVec)
   SumWithCarry add_with_carry(const BitVec& rhs, bool carry_in = false) const;
 
+  /// out = *this + rhs + carry_in (mod 2^width) without allocating;
+  /// returns the carry out of the most significant bit.  `out` must have
+  /// the same width and may be *this or rhs (an in-place add).
+  bool add_into(const BitVec& rhs, BitVec& out, bool carry_in = false) const;
+
   /// Logical shifts (shift >= 0; shifting by >= width yields zero).
   BitVec shl(int shift) const;
   BitVec shr(int shift) const;

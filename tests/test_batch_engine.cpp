@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +17,7 @@
 
 #include "core/aca.hpp"
 #include "sim/batch_engine.hpp"
+#include "sim/row_kernel.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
@@ -519,29 +521,18 @@ std::vector<std::uint64_t> reference_slices(const std::vector<BitVec>& lanes_in,
   return out;
 }
 
-/// `width` bits with every limb all ones, bits above the width
-/// included: an unpack must overwrite all of it.
-BitVec all_ones_limbs(int width) {
-  BitVec v(width);
-  for (auto& limb : v.limbs()) limb = ~std::uint64_t{0};
-  return v;
-}
-
 TEST(BatchEngineWide, TransposeRoundTripOnEveryTier) {
-  // Batches of at most kDirectLanes lanes pack and unpack bit by bit,
-  // larger ones through the block transpose; both must produce the
-  // documented layout and invert it on every tier, at widths that end
+  // Pack and unpack must produce the documented layout and invert it on
+  // every tier, for partial and full batches, at widths that end
   // inside, on and just past a limb.  Equality with a canonical BitVec
   // compares whole limbs, so it also proves the bits above the width of
-  // an all-ones destination were cleared.
+  // every unpacked value are clear.
   Rng rng(0x7a2);
-  const int cut = sim::kDirectLanes;
   for (Isa isa : testable_isas()) {
     for (int lanes : {64, 256, 512}) {
       const int words = lanes / 64;
       for (int n : {1, 63, 64, 65, 96, 1024}) {
-        for (int used :
-             {0, 1, 2, cut - 1, cut, cut + 1, 37, lanes - 27, lanes}) {
+        for (int used : {0, 1, 2, 9, 37, lanes - 27, lanes}) {
           SCOPED_TRACE(std::string(sim::isa_name(isa)) + " lanes " +
                        std::to_string(lanes) + " n " + std::to_string(n) +
                        " used " + std::to_string(used));
@@ -555,47 +546,17 @@ TEST(BatchEngineWide, TransposeRoundTripOnEveryTier) {
           const auto ops = sim::wide_transpose_batch(pairs, n, lanes, isa);
           ASSERT_EQ(ops.a, reference_slices(as, n, lanes));
           ASSERT_EQ(ops.b, reference_slices(bs, n, lanes));
-
-          // Unpack lanes [0, count) into all-ones destinations, leaving
-          // the lanes set in `skip` alone.
-          const auto unpack_into = [&](const std::vector<std::uint64_t>& sliced,
-                                       int count, const std::uint64_t* skip) {
-            std::vector<BitVec> values(static_cast<std::size_t>(count),
-                                       all_ones_limbs(n));
-            std::vector<BitVec*> out;
-            for (auto& v : values) out.push_back(&v);
-            sim::wide_lane_values_into(sliced, n, lanes, out, skip, isa);
-            return values;
-          };
-          std::vector<std::uint64_t> every_third(
-              static_cast<std::size_t>(words), 0);
-          for (int lane = 1; lane < lanes; lane += 3) {
-            every_third[lane / 64] |= std::uint64_t{1} << (lane % 64);
-          }
           for (const auto* side : {&as, &bs}) {
             const auto& sliced = side == &as ? ops.a : ops.b;
             const auto expect = [&](int lane) {
               return lane < used ? (*side)[lane] : BitVec(n);
             };
             const auto values = sim::wide_lane_values(sliced, n, lanes, isa);
-            const auto into_all = unpack_into(sliced, lanes, nullptr);
             for (int lane = 0; lane < lanes; ++lane) {
               ASSERT_EQ(sim::wide_lane_value(sliced, n, words, lane),
                         expect(lane))
                   << "lane " << lane;
               ASSERT_EQ(values[lane], expect(lane)) << "lane " << lane;
-              ASSERT_EQ(into_all[lane], expect(lane)) << "lane " << lane;
-            }
-            const auto into_used = unpack_into(sliced, used, nullptr);
-            const auto skipped = unpack_into(sliced, used, every_third.data());
-            for (int lane = 0; lane < used; ++lane) {
-              ASSERT_EQ(into_used[lane], expect(lane)) << "lane " << lane;
-              if (lane % 3 == 1) {
-                ASSERT_EQ(skipped[lane].limbs(), all_ones_limbs(n).limbs())
-                    << "skipped lane " << lane;
-              } else {
-                ASSERT_EQ(skipped[lane], expect(lane)) << "lane " << lane;
-              }
             }
           }
         }
@@ -618,23 +579,217 @@ TEST(BatchEngineWide, RejectsBadArguments) {
   bad.lanes = 1024;
   EXPECT_THROW(sim::wide_aca_add(bad, 4), std::invalid_argument);
   EXPECT_THROW(sim::wide_lane_values(ops.a, 8, 128), std::invalid_argument);
-  // In-place unpack: more values than lanes, or a value of the wrong
-  // width, rejects.
-  std::vector<BitVec> values(65, BitVec(8));
-  std::vector<BitVec*> out;
-  for (auto& v : values) out.push_back(&v);
-  EXPECT_THROW(sim::wide_lane_values_into(ops.a, 8, 64, out),
-               std::invalid_argument);
-  BitVec narrow(7);
-  const std::vector<BitVec*> mismatched{&narrow};
-  EXPECT_THROW(sim::wide_lane_values_into(ops.a, 8, 64, mismatched),
-               std::invalid_argument);
   EXPECT_THROW(
       sim::wide_transpose_batch(
           std::vector<std::pair<BitVec, BitVec>>(65,
                                                  {BitVec(8), BitVec(8)}),
           8, 64),
       std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Row-major evaluator (sim/row_kernel.hpp): one pair in its own limbs,
+// pinned to the scalar model and to the sliced engine on the active
+// tier (so the forced-ISA reruns compare it with every tier).
+// ---------------------------------------------------------------------------
+
+/// The sliced engine's `wrong`: the speculative sum or carry out differs
+/// from the exact one.  aca_is_exact compares sums only, so the two
+/// differ exactly when nothing but the top carry-out mispredicts.
+bool mispredicts(const BitVec& a, const BitVec& b, int k) {
+  const auto spec = aca_add(a, b, k);
+  const auto exact = a.add_with_carry(b);
+  return spec.sum != exact.sum || spec.carry_out != exact.carry_out;
+}
+
+/// Check row_aca_add and the in-place exact add on one pair against the
+/// scalar model.
+void expect_row_matches_scalar(const BitVec& a, const BitVec& b, int k) {
+  BitVec sum(a.width());
+  std::vector<std::uint64_t> run;
+  const sim::RowFlags got = sim::row_aca_add(a, b, k, sum, run);
+  const auto exact = a.add_with_carry(b);
+  const std::string at = "n=" + std::to_string(a.width()) +
+                         " k=" + std::to_string(k) + " a=" + a.to_hex() +
+                         " b=" + b.to_hex();
+  ASSERT_EQ(sum, exact.sum) << at;
+  ASSERT_EQ(got.flagged, aca_flag(a, b, k)) << at;
+  ASSERT_EQ(got.wrong, mispredicts(a, b, k)) << at;
+  if (!got.wrong) {
+    ASSERT_TRUE(aca_is_exact(a, b, k)) << at;
+  }
+  ASSERT_TRUE(got.flagged || !got.wrong) << "unflagged mispredict " << at;
+  BitVec copy = a;
+  ASSERT_EQ(copy.add_into(b, copy), exact.carry_out) << at;
+  ASSERT_EQ(copy, exact.sum) << at;
+}
+
+/// Evaluate `pairs` on the sliced engine, in batches of the active
+/// tier's lane count, and row by row; every flag, mispredict bit, exact
+/// carry-out and (where unflagged, so exact) speculative sum must agree.
+void expect_rows_match_engine(
+    const std::vector<std::pair<BitVec, BitVec>>& pairs, int n, int k) {
+  const auto lanes = static_cast<std::size_t>(sim::active_lanes());
+  if (pairs.size() > lanes) {
+    for (std::size_t i = 0; i < pairs.size(); i += lanes) {
+      const auto end = pairs.begin() + static_cast<std::ptrdiff_t>(
+                                           std::min(pairs.size(), i + lanes));
+      expect_rows_match_engine(
+          {pairs.begin() + static_cast<std::ptrdiff_t>(i), end}, n, k);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    return;
+  }
+  const auto ops =
+      sim::wide_transpose_batch(pairs, n, static_cast<int>(lanes));
+  const auto got = sim::wide_aca_add(ops, k, nullptr);
+  BitVec sum(n);
+  std::vector<std::uint64_t> run;
+  for (std::size_t lane = 0; lane < pairs.size(); ++lane) {
+    const auto& [a, b] = pairs[lane];
+    const int j = static_cast<int>(lane);
+    const sim::RowFlags row = sim::row_aca_add(a, b, k, sum, run);
+    const std::string at = std::string(sim::isa_name(sim::active_isa())) +
+                           " n=" + std::to_string(n) +
+                           " k=" + std::to_string(k) + " lane " +
+                           std::to_string(lane);
+    ASSERT_EQ(row.flagged, got.flagged_lane(j)) << at;
+    ASSERT_EQ(row.wrong, got.wrong_lane(j)) << at;
+    BitVec copy = a;
+    ASSERT_EQ(copy.add_into(b, copy), mask_lane(got.carry_out_exact, j))
+        << at;
+    if (!row.flagged) {
+      ASSERT_EQ(sum, sim::wide_lane_value(got.sum_spec, n, ops.words(), j))
+          << at;
+    }
+  }
+}
+
+/// b = ~a with `flips` random bits flipped: long propagate runs, broken
+/// by a few generates and kills.
+BitVec adversarial_partner(Rng& rng, const BitVec& a, int flips) {
+  BitVec b = ~a;
+  for (int f = 0; f < flips; ++f) {
+    const int i = static_cast<int>(rng.next_below(
+        static_cast<std::uint64_t>(a.width())));
+    b.set_bit(i, !b.bit(i));
+  }
+  return b;
+}
+
+TEST(BatchEngineRow, ExhaustiveWidth8EveryWindow) {
+  // All 2^16 pairs at width 8, every window 1..8 and one wider than the
+  // operand, against the scalar model and, 64 pairs at a time, the
+  // sliced engine.
+  for (int k = 1; k <= 9; ++k) {
+    std::vector<std::pair<BitVec, BitVec>> pairs;
+    for (int av = 0; av < 256; ++av) {
+      for (int bv = 0; bv < 256; ++bv) {
+        const BitVec a = BitVec::from_u64(8, av);
+        const BitVec b = BitVec::from_u64(8, bv);
+        expect_row_matches_scalar(a, b, k);
+        if (HasFatalFailure()) return;
+        pairs.emplace_back(a, b);
+        if (pairs.size() == 64) {
+          expect_rows_match_engine(pairs, 8, k);
+          if (HasFatalFailure()) return;
+          pairs.clear();
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEngineRow, MatchesScalarAndEngineAcrossWidthsAndWindows) {
+  // Widths that end inside, on and past a limb, windows from 1 to past
+  // the width (k > 128 doubles by 64 bits or more per step; 1024/23 is
+  // the service's shape), uniform and adversarial pairs mixed.
+  Rng rng(0x40e);
+  for (int n : {1, 63, 64, 65, 96, 333, 1024}) {
+    std::vector<int> ks = windows_for(n);
+    for (int k : {2, 23, 64, 65, 129, 200, n - 1, n + 1, 2 * n}) {
+      if (k >= 1 && std::find(ks.begin(), ks.end(), k) == ks.end()) {
+        ks.push_back(k);
+      }
+    }
+    for (int k : ks) {
+      const int count = n <= 96 ? 128 : 48;
+      std::vector<std::pair<BitVec, BitVec>> pairs;
+      for (int t = 0; t < count; ++t) {
+        const BitVec a = rng.next_bits(n);
+        const BitVec b = t % 2 == 0
+                             ? rng.next_bits(n)
+                             : adversarial_partner(rng, a, 1 + t % 5);
+        expect_row_matches_scalar(a, b, k);
+        if (HasFatalFailure()) return;
+        pairs.emplace_back(a, b);
+      }
+      expect_rows_match_engine(pairs, n, k);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(BatchEngineRow, RunsStraddlingLimbBoundaries) {
+  // One propagate run of length `len` starting at `start` (crossing a
+  // limb boundary for most placements), every other position a
+  // generate or a kill.  With a generate just below it the run carries
+  // 1 in, so the ACA mispredicts exactly when len >= k; with a kill it
+  // carries 0 and never does.  A length-k run ending at the top bit
+  // with a generate below mispredicts only the carry out: the sum is
+  // exact, and `wrong` must still say so.
+  Rng rng(0x5712);
+  for (int n : {130, 333, 1024}) {
+    for (int k : {5, 23, 64, 65, 100}) {
+      for (int len : {k - 1, k, k + 1, 2 * k + 3}) {
+        for (int start : {1, 60, 63, 64, 65, 120, n - len}) {
+          if (len < 1 || start < 1 || start + len > n) continue;
+          for (bool carry_in : {false, true}) {
+            BitVec a(n), b(n);
+            for (int i = 0; i < n; ++i) {
+              const bool bit = rng.next_below(2) == 1;
+              a.set_bit(i, bit);
+              b.set_bit(i, bit);  // a == b: generate or kill
+            }
+            for (int i = start; i < start + len; ++i) b.set_bit(i, !a.bit(i));
+            a.set_bit(start - 1, carry_in);
+            b.set_bit(start - 1, carry_in);
+            // No other position propagates, so only this run can carry
+            // a wrong speculation.
+            BitVec sum(n);
+            std::vector<std::uint64_t> run;
+            const sim::RowFlags got = sim::row_aca_add(a, b, k, sum, run);
+            const std::string at = "n=" + std::to_string(n) +
+                                   " k=" + std::to_string(k) +
+                                   " len=" + std::to_string(len) +
+                                   " start=" + std::to_string(start);
+            ASSERT_EQ(got.flagged, len >= k) << at;
+            ASSERT_EQ(got.wrong, len >= k && carry_in) << at;
+            expect_row_matches_scalar(a, b, k);
+            if (HasFatalFailure()) return;
+            if (start + len == n && len == k && carry_in) {
+              ASSERT_TRUE(aca_is_exact(a, b, k)) << "top carry only " << at;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEngineRow, RejectsBadArguments) {
+  const BitVec a(64), b(64), narrow(63), empty(0);
+  BitVec sum(64), narrow_sum(63), empty_sum(0);
+  std::vector<std::uint64_t> run;
+  EXPECT_THROW(sim::row_aca_add(a, narrow, 4, sum, run),
+               std::invalid_argument);
+  EXPECT_THROW(sim::row_aca_add(a, b, 4, narrow_sum, run),
+               std::invalid_argument);
+  EXPECT_THROW(sim::row_aca_add(a, b, 0, sum, run), std::invalid_argument);
+  EXPECT_THROW(sim::row_aca_add(empty, empty, 4, empty_sum, run),
+               std::invalid_argument);
+  BitVec c(64);
+  EXPECT_THROW(sim::row_aca_add(c, b, 4, c, run), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -707,15 +862,6 @@ TEST(BatchEngineIsa, ForcedIsaIsHonored) {
   const auto parsed = sim::parse_isa(forced);
   ASSERT_TRUE(parsed.has_value()) << forced;
   EXPECT_EQ(sim::active_isa(), *parsed);
-}
-
-TEST(BatchEngineIsa, LanesForBatchPicksSmallestFit) {
-  EXPECT_EQ(sim::lanes_for_batch(1), 64);
-  EXPECT_EQ(sim::lanes_for_batch(64), 64);
-  EXPECT_EQ(sim::lanes_for_batch(65), 256);
-  EXPECT_EQ(sim::lanes_for_batch(256), 256);
-  EXPECT_EQ(sim::lanes_for_batch(257), 512);
-  EXPECT_EQ(sim::lanes_for_batch(512), 512);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
 
@@ -114,6 +116,32 @@ TEST(BitVec, AddWithCarryAtNonLimbWidths) {
   const auto r = a.add_with_carry(one);
   EXPECT_TRUE(r.sum.is_zero());
   EXPECT_TRUE(r.carry_out);
+}
+
+TEST(BitVec, AddIntoMatchesAddWithCarryInPlace) {
+  Rng rng(11);
+  for (const int width : {1, 63, 64, 65, 100, 1024}) {
+    for (int i = 0; i < 50; ++i) {
+      const BitVec a = i == 0 ? BitVec::ones(width) : rng.next_bits(width);
+      const BitVec b = i == 0 ? BitVec::from_u64(width, 1)
+                              : rng.next_bits(width);
+      const bool carry_in = i % 2 == 1;
+      const auto expect = a.add_with_carry(b, carry_in);
+      BitVec out(width);
+      EXPECT_EQ(a.add_into(b, out, carry_in), expect.carry_out);
+      EXPECT_EQ(out, expect.sum);
+      BitVec lhs = a;  // out aliases *this
+      EXPECT_EQ(lhs.add_into(b, lhs, carry_in), expect.carry_out);
+      EXPECT_EQ(lhs, expect.sum);
+      BitVec rhs = b;  // out aliases rhs
+      EXPECT_EQ(a.add_into(rhs, rhs, carry_in), expect.carry_out);
+      EXPECT_EQ(rhs, expect.sum);
+    }
+  }
+  BitVec narrow(63);
+  BitVec sum(64);
+  EXPECT_THROW(BitVec(64).add_into(narrow, sum), std::invalid_argument);
+  EXPECT_THROW(BitVec(64).add_into(BitVec(64), narrow), std::invalid_argument);
 }
 
 TEST(BitVec, CarryInPropagates) {

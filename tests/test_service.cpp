@@ -21,6 +21,7 @@
 #include "sim/isa.hpp"
 #include "telemetry/registry.hpp"
 #include "util/bitvec.hpp"
+#include "util/rng.hpp"
 #include "workloads/operand_stream.hpp"
 
 namespace vlsa {
@@ -87,9 +88,9 @@ TEST(ServiceCorrectness, PumpModeMatchesScalarModel) {
 TEST(ServiceCorrectness, WideBatchDispatchMatchesScalarModel) {
   // max_batch = the detected SIMD lane width (the default): a flush
   // after >512 queued submissions makes every dispatch pop a batch
-  // wider than 64 lanes, driving the wide transpose/eval/un-transpose
-  // path end to end.  Window 6 at width 64 flags often enough that the
-  // recovery lane runs inside wide batches too.
+  // wider than 64 requests, driving the eval pass and the completion
+  // loop over full batches end to end.  Window 6 at width 64 flags
+  // often enough that the recovery lane runs inside wide batches too.
   const int width = 64, window = 6;
   auto config = pump_config(width, window);
   config.max_batch = sim::active_lanes();
@@ -121,6 +122,81 @@ TEST(ServiceCorrectness, WideBatchDispatchMatchesScalarModel) {
   const auto snap = service.registry().snapshot();
   EXPECT_EQ(counter_value(snap, "service.completed"), 1200);
   EXPECT_EQ(counter_value(snap, "service.recovered"), flagged);
+}
+
+TEST(ServiceCorrectness, ExactAtServiceWidthsAndBatchShapes) {
+  // The shipped shape (1024/23) and widths whose top limb is partial,
+  // uniform and adversarial operands (b = ~a with a few flipped bits),
+  // dispatched in batches of 1, of 5 and of max_batch.  Each request
+  // must come back with the exact sum, the scalar ER flag and the
+  // sliced engine's mispredict bit: the speculative sum or carry out
+  // differs from the exact one.  The last request of every round
+  // mispredicts only its carry out (a length-k run at the top with a
+  // generate below), so aca_is_exact alone would call it exact.
+  struct Shape {
+    int width, window;
+  };
+  for (const Shape shape : {Shape{1024, 23}, Shape{333, 9}, Shape{65, 1}}) {
+    const int n = shape.width, k = shape.window;
+    AdderService service(pump_config(n, k));
+    const auto max_batch =
+        static_cast<std::size_t>(service.config().max_batch);
+    util::Rng rng(static_cast<std::uint64_t>(n) * 31 + k);
+    int flagged = 0, wrong = 0;
+    for (const std::size_t batch : {std::size_t{1}, std::size_t{5},
+                                    max_batch}) {
+      struct Expected {
+        BitVec a, b;
+        std::future<Completion> future;
+      };
+      std::vector<Expected> expected;
+      const auto submit = [&](const BitVec& a, const BitVec& b) {
+        auto future = service.submit(a, b);
+        ASSERT_TRUE(future.has_value());
+        expected.push_back({a, b, std::move(*future)});
+      };
+      for (std::size_t i = 0; i < 2 * batch + 3; ++i) {
+        const BitVec a = rng.next_bits(n);
+        BitVec b = rng.next_bits(n);
+        if (i % 2 == 1) {
+          b = ~a;
+          for (int f = 0; f < 1 + static_cast<int>(i % 4); ++f) {
+            const int bit = static_cast<int>(
+                rng.next_below(static_cast<std::uint64_t>(n)));
+            b.set_bit(bit, !b.bit(bit));
+          }
+        }
+        submit(a, b);
+        if (expected.size() % batch == 0) {
+          ASSERT_EQ(service.pump(), batch);
+        }
+      }
+      BitVec top_a(n), top_b(n);
+      for (int i = n - k; i < n; ++i) top_a.set_bit(i, true);
+      top_a.set_bit(n - k - 1, true);
+      top_b.set_bit(n - k - 1, true);
+      submit(top_a, top_b);
+      service.flush();
+      for (auto& e : expected) {
+        const Completion got = e.future.get();
+        const auto spec = core::aca_add(e.a, e.b, k);
+        const auto exact = e.a.add_with_carry(e.b);
+        const bool mispredict =
+            !core::aca_is_exact(e.a, e.b, k) ||
+            spec.carry_out != exact.carry_out;
+        ASSERT_EQ(got.sum, exact.sum) << n << "/" << k << " batch " << batch;
+        ASSERT_EQ(got.flagged, core::aca_flag(e.a, e.b, k))
+            << n << "/" << k << " batch " << batch;
+        ASSERT_EQ(got.speculative_wrong, mispredict)
+            << n << "/" << k << " batch " << batch;
+        flagged += got.flagged ? 1 : 0;
+        wrong += got.speculative_wrong ? 1 : 0;
+      }
+      EXPECT_TRUE(core::aca_is_exact(top_a, top_b, k));
+    }
+    EXPECT_GT(flagged, 0) << n << "/" << k;
+    EXPECT_GT(wrong, 0) << n << "/" << k;
+  }
 }
 
 TEST(ServiceDeterminism, FixedSeedSnapshotsAreByteIdentical) {
@@ -305,6 +381,53 @@ TEST(ServiceConcurrency, MultiProducerBlockPolicyCompletesAll) {
     EXPECT_EQ(counter_value(snap, "service.completed"),
               kProducers * kPerProducer);
     EXPECT_EQ(counter_value(snap, "service.rejected"), 0);
+  }
+}
+
+// A queue smaller than max_batch: a pop of the whole queue is a full
+// pop (a backlog with Block producers waiting for space), which the
+// worker must follow straight away.  Every sum stays exact at a width
+// that crosses limbs, and no pop exceeds the queue.
+TEST(ServiceConcurrency, QueueSmallerThanMaxBatchCompletesExactly) {
+  telemetry::Registry registry;
+  ServiceConfig config;
+  config.pipeline.width = 1024;
+  config.pipeline.window = 23;
+  config.workers = 1;
+  config.queue_capacity = 8;
+  config.overflow = OverflowPolicy::Block;
+  AdderService service(config, &registry);
+  ASSERT_GT(static_cast<std::size_t>(service.config().max_batch),
+            config.queue_capacity);
+  constexpr int kProducers = 2;
+  constexpr int kPerProducer = 1500;
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&service, p] {
+      util::Rng rng(300 + static_cast<std::uint64_t>(p));
+      std::vector<std::pair<BitVec, std::future<Completion>>> pending;
+      for (int i = 0; i < kPerProducer; ++i) {
+        const BitVec a = rng.next_bits(1024);
+        // Every fourth pair is all-propagate, so the flagged path runs.
+        const BitVec b = i % 4 == 0 ? ~a : rng.next_bits(1024);
+        auto future = service.submit(a, b);
+        ASSERT_TRUE(future.has_value());
+        pending.emplace_back(a + b, std::move(*future));
+      }
+      for (auto& [sum, future] : pending) {
+        ASSERT_EQ(future.get().sum, sum);
+      }
+    });
+  }
+  for (auto& producer : producers) producer.join();
+  const auto snap = registry.snapshot();
+  EXPECT_EQ(counter_value(snap, "service.completed"),
+            kProducers * kPerProducer);
+  EXPECT_GT(counter_value(snap, "service.recovered"), 0);
+  for (const auto& h : snap.histograms) {
+    if (h.name == "service.batch_occupancy") {
+      EXPECT_LE(h.max, static_cast<std::uint64_t>(config.queue_capacity));
+    }
   }
 }
 
