@@ -55,15 +55,22 @@ class Notifier {
     }
   }
 
-  std::vector<std::shared_ptr<Item>> take() {
+  /// Everything parked since the last take, valid until the next take.
+  /// The ready list is swapped with the taker's list, whose previous
+  /// items are released first, so both keep their capacity and a steady
+  /// loop allocates nothing here.  Only the loop thread takes.
+  std::vector<std::shared_ptr<Item>>& take() {
+    taken_.clear();
     util::LockGuard lock(mutex_);
     signaled_ = false;
-    return std::exchange(ready_, {});
+    ready_.swap(taken_);
+    return taken_;
   }
 
   /// The loop's final take: everything parked so far, and no parking
-  /// from now on.
+  /// from now on.  The last take's items are released too.
   std::vector<std::shared_ptr<Item>> close_and_take() {
+    taken_.clear();
     util::LockGuard lock(mutex_);
     closed_ = true;
     return std::exchange(ready_, {});
@@ -75,6 +82,7 @@ class Notifier {
   const int wakefd_;
   util::Mutex mutex_;
   std::vector<std::shared_ptr<Item>> ready_ GUARDED_BY(mutex_);
+  std::vector<std::shared_ptr<Item>> taken_;  ///< the loop thread's
   bool signaled_ GUARDED_BY(mutex_) = false;
   bool closed_ GUARDED_BY(mutex_) = false;
 };

@@ -1,5 +1,7 @@
 #include "net/protocol.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace vlsa::net {
@@ -22,51 +24,50 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   return v;
 }
 
-/// Append a BitVec's value as ceil(width/8) little-endian bytes.
-/// Whole limbs go through an explicit-shift store the compiler turns
-/// into one 8-byte write on little-endian targets (the wire format IS
-/// the LE limb layout); byte-at-a-time push_back here was the hottest
-/// loop of the whole socket path — it runs four times per request
-/// (client encode, server decode, server encode, client decode).
+/// Append a BitVec's value as ceil(width/8) little-endian bytes.  The
+/// wire format is the little-endian limb layout, so a little-endian host
+/// copies the limbs' bytes with one memcpy; other hosts store byte by
+/// byte.  This runs four times per request (client encode, server
+/// decode, server encode, client decode).
 void put_operand(std::vector<std::uint8_t>& out, const util::BitVec& v) {
   const std::size_t bytes = operand_bytes(v.width());
+  if (bytes == 0) return;
   const std::size_t start = out.size();
   out.resize(start + bytes);
   std::uint8_t* dst = out.data() + start;
   const auto& limbs = v.limbs();
-  const std::size_t full = bytes / 8;
-  for (std::size_t i = 0; i < full; ++i) {
-    const std::uint64_t limb = limbs[i];
-    std::uint8_t tmp[8];
-    for (int b = 0; b < 8; ++b) {
-      tmp[b] = static_cast<std::uint8_t>(limb >> (8 * b));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, limbs.data(), bytes);
+  } else {
+    for (std::size_t i = 0; i < bytes; ++i) {
+      dst[i] = static_cast<std::uint8_t>(limbs[i / 8] >> (8 * (i % 8)));
     }
-    std::memcpy(dst + 8 * i, tmp, 8);
-  }
-  for (std::size_t i = full * 8; i < bytes; ++i) {
-    dst[i] = static_cast<std::uint8_t>(limbs[i / 8] >> (8 * (i % 8)));
   }
 }
 
-/// Parse `bytes` little-endian bytes into a width-bit BitVec.  Returns
-/// false when any bit above `width` is set — hostile padding, a framing
-/// error by contract (canonical BitVecs keep those bits zero, and a
-/// lenient mask here would make two distinct wire encodings decode to
-/// equal values).
+/// Parse `bytes` little-endian bytes into a width-bit BitVec, reusing
+/// `out`'s limbs when it already holds `width` bits (a connection's
+/// recycled request buffers), else allocating.  Returns false when any
+/// bit above `width` is set — hostile padding, a framing error by
+/// contract (canonical BitVecs keep those bits zero, and a lenient mask
+/// here would make two distinct wire encodings decode to equal values).
 bool get_operand(const std::uint8_t* p, int width, util::BitVec& out) {
   const std::size_t bytes = operand_bytes(width);
-  out = util::BitVec(width);
-  auto& limbs = out.limbs();
-  const std::size_t full = bytes / 8;
-  for (std::size_t i = 0; i < full; ++i) {
-    std::uint8_t tmp[8];
-    std::memcpy(tmp, p + 8 * i, 8);
-    std::uint64_t limb = 0;
-    for (int b = 7; b >= 0; --b) limb = (limb << 8) | tmp[b];
-    limbs[i] = limb;
+  const std::size_t n_limbs = (bytes + 7) / 8;
+  if (out.width() != width || out.limbs().size() != n_limbs) {
+    out = util::BitVec(width);
   }
-  for (std::size_t i = full * 8; i < bytes; ++i) {
-    limbs[i / 8] |= std::uint64_t{p[i]} << (8 * (i % 8));
+  auto& limbs = out.limbs();
+  if constexpr (std::endian::native == std::endian::little) {
+    // The payload may end inside the top limb: clear it first, so no
+    // bit of the buffer's previous value survives above the last byte.
+    limbs.back() = 0;
+    std::memcpy(limbs.data(), p, bytes);
+  } else {
+    std::fill(limbs.begin(), limbs.end(), std::uint64_t{0});
+    for (std::size_t i = 0; i < bytes; ++i) {
+      limbs[i / 8] |= std::uint64_t{p[i]} << (8 * (i % 8));
+    }
   }
   if (width % 64 != 0) {
     const std::uint64_t mask = (std::uint64_t{1} << (width % 64)) - 1;
@@ -122,7 +123,6 @@ void encode_request(std::uint64_t id, int window, const util::BitVec& a,
                     std::uint8_t flags) {
   const int width = a.width();
   const auto payload = static_cast<std::uint32_t>(2 * operand_bytes(width));
-  out.reserve(out.size() + kHeaderBytes + payload);
   put_header(out, FrameType::Request, static_cast<std::uint8_t>(Op::Add),
              flags, id, width, window, payload,
              /*latency_ticks=*/0);
@@ -134,7 +134,10 @@ void encode_response(const ResponseFrame& frame,
                      std::vector<std::uint8_t>& out) {
   const auto payload = static_cast<std::uint32_t>(
       frame.status == Status::Ok ? operand_bytes(frame.width) : 0);
-  out.reserve(out.size() + kHeaderBytes + payload);
+  // No reserve for the frame: `out` grows geometrically through insert
+  // and resize, where an exact reserve would reallocate once per frame
+  // whenever a connection's pending responses pass their high-water
+  // mark.
   put_header(out, FrameType::Response,
              static_cast<std::uint8_t>(frame.status), frame.flags, frame.id,
              frame.width, frame.window, payload, frame.latency_ticks);
@@ -228,7 +231,8 @@ FrameDecoder::Result FrameDecoder::next(RequestFrame& request,
   const std::uint8_t* body = h + kHeaderBytes;
 
   if (type == FrameType::Request) {
-    request = RequestFrame();
+    // Every field is assigned; the operands decode into the frame's own
+    // buffers when they already have this width.
     request.id = id;
     request.op = static_cast<Op>(op_or_status);
     request.flags = flags;

@@ -136,7 +136,10 @@ class FrameDecoder {
   void feed(const std::uint8_t* data, std::size_t size);
 
   /// Try to decode the next frame.  On Frame, `type()` says which of
-  /// `request` / `response` was filled in.
+  /// `request` / `response` was filled in.  A request decodes into
+  /// `request`'s own operand buffers when they already hold the frame's
+  /// width, so a caller that reuses its frame allocates nothing per
+  /// request; the result equals a decode into a fresh frame.
   Result next(RequestFrame& request, ResponseFrame& response);
 
   FrameType type() const { return type_; }

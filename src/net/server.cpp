@@ -10,9 +10,9 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <optional>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -70,28 +70,49 @@ struct Metrics {
 struct Connection;
 using ConnNotifier = Notifier<Connection>;
 
-// Per-connection state.  Everything except `pending`/`inflight` is
-// owned by the loop thread; `pending` is the producer side of the
-// response path (service threads append under the mutex) and
-// `inflight` counts requests inside the service.
+// One request's buffers and reply metadata, recycled by its connection.
+// The loop decodes a frame into a free slot's `frame` (in place, so the
+// operand buffers are reused), hands the operands to the service, and
+// the completion callback puts the sum and the second operand back here
+// before it returns the slot.  So every buffer is allocated and freed by
+// the loop thread, and a steady connection allocates nothing per frame.
+struct Slot {
+  RequestFrame frame;  ///< id, trace flag, width and operand buffers
+  std::chrono::steady_clock::time_point t0;  ///< dispatch time
+  bool wire_sampled = false;  ///< the client sampled it and we trace
+  /// Engaged only while the request is in flight, so a slot never
+  /// outlives its connection and the callback needs nothing else.
+  std::shared_ptr<Connection> conn;
+};
+
+// Per-connection state.  Everything except `pending`/`returned`/
+// `inflight` is owned by the loop thread; `pending` and `returned` are
+// the producer side of the response path (service threads append under
+// the mutex) and `inflight` counts requests inside the service.
 struct Connection : std::enable_shared_from_this<Connection> {
   int fd = -1;
   std::uint64_t id = 0;
   std::shared_ptr<ConnNotifier> notifier;
+  std::shared_ptr<Metrics> metrics;
+  int window = 0;  ///< the service's k, echoed in every response
   FrameDecoder decoder{DecoderLimits{}};
 
   // Loop-thread state.
   bool in_epoll = false;
   bool read_done = false;        ///< EOF seen (or server draining)
   bool close_requested = false;  ///< fatal: drop writes, close asap
-  std::optional<RequestFrame> stalled;  ///< Block policy: parked frame
-  std::vector<std::uint8_t> outbuf;     ///< loop-owned write staging
+  Slot* stalled = nullptr;       ///< Block policy: parked frame
+  std::vector<std::uint8_t> outbuf;  ///< loop-owned write staging
   std::size_t out_off = 0;
+  std::vector<std::unique_ptr<Slot>> slots;  ///< every slot made here
+  std::vector<Slot*> free_slots;             ///< not in flight or parked
 
   std::atomic<long long> inflight{0};
 
   util::Mutex pending_mutex;
   std::vector<std::uint8_t> pending GUARDED_BY(pending_mutex);
+  /// Completed requests' slots, moved to free_slots by flush_writes.
+  std::vector<Slot*> returned GUARDED_BY(pending_mutex);
 
   ~Connection() {
     if (fd >= 0) ::close(fd);
@@ -101,7 +122,69 @@ struct Connection : std::enable_shared_from_this<Connection> {
     util::LockGuard lock(pending_mutex);
     return pending.size();
   }
+
+  /// The slot the next frame decodes into (loop thread): the newest
+  /// free one, or a new one when all are in use.  It stays free until
+  /// the caller pops it.
+  Slot& next_slot() {
+    if (free_slots.empty()) {
+      slots.push_back(std::make_unique<Slot>());
+      free_slots.push_back(slots.back().get());
+    }
+    return *free_slots.back();
+  }
 };
+
+/// A request's completion, on the dispatcher that evaluated it: encode
+/// the response into the connection's pending buffer, return the slot
+/// with both buffers, then wake the loop.
+void complete_request(Slot& slot, service::Completion completion) {
+  // Once the slot is returned the loop may reuse it, so everything the
+  // reply needs leaves it first.
+  std::shared_ptr<Connection> conn = std::move(slot.conn);
+  const std::uint64_t rid = slot.frame.id;
+  const bool wire_sampled = slot.wire_sampled;
+  const auto t0 = slot.t0;
+  ResponseFrame response;
+  response.id = rid;
+  response.status = Status::Ok;
+  response.flags = static_cast<std::uint8_t>(
+      (completion.flagged ? kFlagRecovered : 0) |
+      (completion.speculative_wrong ? kFlagWrong : 0) |
+      (wire_sampled ? kFlagTraceSampled : 0));
+  response.width = slot.frame.width;
+  response.window = conn->window;
+  response.latency_ticks =
+      static_cast<std::uint64_t>(completion.latency_cycles);
+  response.sum = std::move(completion.sum);
+  {
+    util::LockGuard lock(conn->pending_mutex);
+    encode_response(response, conn->pending);
+    slot.frame.a = std::move(response.sum);
+    slot.frame.b = std::move(completion.b);
+    conn->returned.push_back(&slot);
+  }
+  Metrics& metrics = *conn->metrics;
+  metrics.frames_out.increment();
+  const auto server_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
+  metrics.server_ns.record(server_ns);
+  if (wire_sampled && trace::enabled()) {
+    trace::EventArgs args;
+    args.batch = conn->id;
+    args.k = conn->window;
+    args.er = completion.flagged ? 1 : 0;
+    args.req = rid;
+    args.has_req = true;
+    trace::emit_span(trace::EventName::kNetServe, trace::to_session_ns(t0),
+                     server_ns, args);
+  }
+  conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
+  ConnNotifier& notifier = *conn->notifier;
+  notifier.push(std::move(conn));
+}
 
 // A fake capability naming the event-loop thread itself.  State marked
 // GUARDED_BY(loop_role_) has no mutex: it is single-threaded by
@@ -153,6 +236,8 @@ class EventLoop {
   /// Hand a freshly accepted connection to this loop (acceptor thread).
   void adopt(std::shared_ptr<Connection> conn) {
     conn->notifier = notifier_;
+    conn->metrics = metrics_;
+    conn->window = window_;
     notifier_->push(std::move(conn));
   }
 
@@ -285,7 +370,7 @@ class EventLoop {
   void handle_readable(Connection& conn, std::vector<std::uint8_t>& chunk)
       REQUIRES(loop_role_) {
     if (conn.fd < 0 || conn.read_done || conn.close_requested) return;
-    if (conn.stalled.has_value()) {
+    if (conn.stalled != nullptr) {
       metrics_->read_stalls.increment();
       return;
     }
@@ -299,7 +384,7 @@ class EventLoop {
         burst += static_cast<std::size_t>(n);
         conn.decoder.feed(chunk.data(), static_cast<std::size_t>(n));
         if (!process_buffered(conn)) break;  // poisoned -> closing
-        if (conn.stalled.has_value()) break;  // backpressure
+        if (conn.stalled != nullptr) break;  // backpressure
         continue;
       }
       if (n == 0) {
@@ -334,12 +419,12 @@ class EventLoop {
   bool process_buffered(Connection& conn) REQUIRES(loop_role_) {
     const bool sampled = trace::enabled() && trace::sample();
     const auto t_decode = std::chrono::steady_clock::now();
-    RequestFrame request;
     ResponseFrame response;
     int frames = 0;
     bool ok = true;
-    while (!conn.stalled.has_value()) {
-      const auto result = conn.decoder.next(request, response);
+    while (conn.stalled == nullptr) {
+      Slot& slot = conn.next_slot();
+      const auto result = conn.decoder.next(slot.frame, response);
       if (result == FrameDecoder::Result::NeedMore) break;
       if (result == FrameDecoder::Result::Error) {
         metrics_->decode_errors.increment();
@@ -356,7 +441,8 @@ class EventLoop {
         ok = false;
         break;
       }
-      dispatch_request(conn, std::move(request));
+      conn.free_slots.pop_back();  // the slot is this request's now
+      dispatch_request(conn, slot);
     }
     if (frames > 0) {
       const std::uint64_t dur = ns_since(t_decode);
@@ -372,94 +458,70 @@ class EventLoop {
     return ok;
   }
 
-  void dispatch_request(Connection& conn, RequestFrame request)
-      REQUIRES(loop_role_) {
+  /// Submit a decoded request, or answer it at once.  A request
+  /// answered here (width mismatch, Reject) frees its slot; a Block
+  /// stall parks the slot, operands intact, for retry_stalled.
+  void dispatch_request(Connection& conn, Slot& slot) REQUIRES(loop_role_) {
+    const RequestFrame& request = slot.frame;
     if (request.width != width_ ||
         (request.window != 0 && request.window != window_)) {
       // Echo the request's width so the client sees the mismatch.
       enqueue_status(conn, request.id, Status::Error, request.width);
+      conn.free_slots.push_back(&slot);
       return;
     }
-    if (!try_submit(conn, request)) {
+    if (!try_submit(conn, slot)) {
       if (reject_) {
         enqueue_status(conn, request.id, Status::Rejected, width_);
+        conn.free_slots.push_back(&slot);
       } else {
         // Block policy: park the frame, stop reading this socket.
-        conn.stalled = std::move(request);
+        conn.stalled = &slot;
         stalled_.insert(conn.fd);
       }
     }
   }
 
   /// One submission attempt.  The service's try path hands the
-  /// operands back untouched when the queue is full, so the frame
-  /// survives a failed attempt (the Block-policy retry path re-submits
-  /// the SAME parked frame) and the success path never pays a copy.
-  bool try_submit(Connection& conn, RequestFrame& request)
-      REQUIRES(loop_role_) {
-    auto shared = conn.shared_from_this();
-    const std::uint64_t rid = request.id;
-    const int width = width_;
-    const int window = window_;
+  /// operands back untouched when the queue is full (or closed), so the
+  /// slot survives a failed attempt (the Block-policy retry path
+  /// re-submits the SAME parked slot) and the success path never pays a
+  /// copy.  A closed service is answered here and its slot returned.
+  bool try_submit(Connection& conn, Slot& slot) REQUIRES(loop_role_) {
+    const std::uint64_t rid = slot.frame.id;
     // The client's sampling decision, carried on the wire: echo it in
     // the response and bracket dispatch -> response-encoded with a
     // net-serve span under the same request id, so trace::merge can
     // stitch the client's and server's views of this request together.
     const bool wire_sampled =
-        (request.flags & kFlagTraceSampled) != 0 && trace::enabled();
-    auto metrics = metrics_;
-    const auto t0 = std::chrono::steady_clock::now();
-    auto callback = [shared = std::move(shared), rid, width, window,
-                     metrics = std::move(metrics), t0,
-                     wire_sampled](service::Completion completion) {
-      ResponseFrame response;
-      response.id = rid;
-      response.status = Status::Ok;
-      response.flags = static_cast<std::uint8_t>(
-          (completion.flagged ? kFlagRecovered : 0) |
-          (completion.speculative_wrong ? kFlagWrong : 0) |
-          (wire_sampled ? kFlagTraceSampled : 0));
-      response.width = width;
-      response.window = window;
-      response.latency_ticks =
-          static_cast<std::uint64_t>(completion.latency_cycles);
-      response.sum = std::move(completion.sum);
-      {
-        util::LockGuard lock(shared->pending_mutex);
-        encode_response(response, shared->pending);
-      }
-      metrics->frames_out.increment();
-      const auto server_ns = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      metrics->server_ns.record(server_ns);
-      if (wire_sampled && trace::enabled()) {
-        trace::EventArgs args;
-        args.batch = shared->id;
-        args.k = window;
-        args.er = completion.flagged ? 1 : 0;
-        args.req = rid;
-        args.has_req = true;
-        trace::emit_span(trace::EventName::kNetServe,
-                         trace::to_session_ns(t0), server_ns, args);
-      }
-      shared->inflight.fetch_sub(1, std::memory_order_acq_rel);
-      shared->notifier->push(shared);
+        (slot.frame.flags & kFlagTraceSampled) != 0 && trace::enabled();
+    slot.wire_sampled = wire_sampled;
+    slot.t0 = std::chrono::steady_clock::now();
+    slot.conn = conn.shared_from_this();
+    Slot* const target = &slot;
+    const auto callback = [target](service::Completion completion) {
+      complete_request(*target, std::move(completion));
     };
+    // One pointer: std::function keeps it in place, so no frame
+    // allocates its callback here and frees it on a dispatcher.
+    static_assert(sizeof(callback) == sizeof(Slot*) &&
+                  std::is_trivially_copyable_v<decltype(callback)>);
     conn.inflight.fetch_add(1, std::memory_order_acq_rel);
     bool accepted = false;
     try {
       accepted = service_.try_submit_callback(
-          std::move(request.a), std::move(request.b), std::move(callback));
+          std::move(slot.frame.a), std::move(slot.frame.b), callback);
     } catch (const std::exception&) {
       // Service closed under us (teardown race): answer Error rather
       // than leaving the client hanging.
+      slot.conn.reset();
       conn.inflight.fetch_sub(1, std::memory_order_acq_rel);
       enqueue_status(conn, rid, Status::Error, width_);
+      conn.free_slots.push_back(&slot);
       return true;  // consumed (never retried)
     }
     if (!accepted) {
+      slot.conn.reset();
       conn.inflight.fetch_sub(1, std::memory_order_acq_rel);
       return false;
     }
@@ -507,6 +569,9 @@ class EventLoop {
                            conn.pending.end());
         conn.pending.clear();
       }
+      conn.free_slots.insert(conn.free_slots.end(), conn.returned.begin(),
+                             conn.returned.end());
+      conn.returned.clear();
     }
     if (conn.close_requested) {
       conn.outbuf.clear();
@@ -518,9 +583,12 @@ class EventLoop {
     const auto t_write = std::chrono::steady_clock::now();
     std::size_t wrote = 0;
     while (conn.out_off < conn.outbuf.size()) {
+      // MSG_NOSIGNAL: a peer that hung up with responses owed is an
+      // EPIPE that closes its connection, not a SIGPIPE that kills the
+      // server.
       const ssize_t n =
-          ::write(conn.fd, conn.outbuf.data() + conn.out_off,
-                  conn.outbuf.size() - conn.out_off);
+          ::send(conn.fd, conn.outbuf.data() + conn.out_off,
+                 conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
       if (n > 0) {
         conn.out_off += static_cast<std::size_t>(n);
         wrote += static_cast<std::size_t>(n);
@@ -565,11 +633,10 @@ class EventLoop {
         continue;
       }
       auto conn = it->second;
-      if (!conn->stalled.has_value() ||
-          !try_submit(*conn, *conn->stalled)) {
+      if (conn->stalled == nullptr || !try_submit(*conn, *conn->stalled)) {
         continue;
       }
-      conn->stalled.reset();
+      conn->stalled = nullptr;
       stalled_.erase(fd);
       // The parked frame blocked both the decoder and the socket;
       // catch both up now.
@@ -595,7 +662,7 @@ class EventLoop {
       if (expired) conn->close_requested = true;
       flush_writes(*conn);
       if (!conn->close_requested && !conn->read_done &&
-          !conn->stalled.has_value() &&
+          conn->stalled == nullptr &&
           conn->inflight.load(std::memory_order_acquire) == 0 &&
           conn->decoder.buffered() == 0 &&
           conn->out_off >= conn->outbuf.size() &&
@@ -614,7 +681,7 @@ class EventLoop {
       if (no_inflight) destroy(conn);
       return;
     }
-    if (conn.read_done && !conn.stalled.has_value() && no_inflight &&
+    if (conn.read_done && conn.stalled == nullptr && no_inflight &&
         conn.out_off >= conn.outbuf.size() && conn.pending_bytes() == 0) {
       destroy(conn);
     }

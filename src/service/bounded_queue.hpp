@@ -21,6 +21,14 @@
 // whatever remains, and then `pop_batch` reports `done` — the
 // worker-shutdown signal.
 //
+// The items live in a ring: a vector with a head index and a count.  It
+// grows by doubling up to the capacity and never shrinks, pushes
+// move-assign into free slots and pops move items out, so a queue that
+// has reached its working depth allocates nothing per item.  (A
+// std::deque would allocate a node per few requests on the pushing
+// thread and free it on the popping one: a third of an allocation per
+// request, each freed on another thread.)
+//
 // The locking discipline is machine-checked: every field behind
 // `mutex_` carries GUARDED_BY, so `clang++ -Wthread-safety` (the
 // `thread-safety` preset) proves no access escapes the lock.  Waits are
@@ -35,9 +43,9 @@
 // `close` the service calls run under schedule-injected primitives
 // (src/mc/, docs/model_checking.md).
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <span>
 #include <vector>
 
@@ -84,14 +92,14 @@ class BoundedQueue {
         typename Sync::UniqueLock lock(mutex_);
         if (wait) {
           ++waiting_producers_;
-          while (!closed_ && items_.size() >= capacity_) {
+          while (!closed_ && count_ >= capacity_) {
             not_full_.wait(lock);
           }
           --waiting_producers_;
         }
         if (closed_) break;
-        while (pushed < items.size() && items_.size() < capacity_) {
-          items_.push_back(std::move(items[pushed]));
+        while (pushed < items.size() && count_ < capacity_) {
+          push_locked(std::move(items[pushed]));
           ++pushed;
         }
         wake = pushed > before && waiting_consumers_ > 0;
@@ -145,7 +153,7 @@ class BoundedQueue {
                                       : std::chrono::steady_clock::now() +
                                             timeout;
         ++waiting_consumers_;
-        while (!closed_ && items_.empty()) {
+        while (!closed_ && count_ == 0) {
           // Untimed, so the model checker never grants a forever wait
           // a timeout it could not have.
           if (forever) {
@@ -161,7 +169,7 @@ class BoundedQueue {
       // The load-bearing line: closed-and-empty is decided under the
       // same lock that serializes pushes, so no item can slip between
       // "nothing taken" and "we are done".
-      result.done = closed_ && items_.empty();
+      result.done = closed_ && count_ == 0;
       wake = result.taken > 0 && waiting_producers_ > 0;
     }
     if (wake) not_full_.notify_all();
@@ -181,7 +189,7 @@ class BoundedQueue {
 
   std::size_t size() const {
     typename Sync::LockGuard lock(mutex_);
-    return items_.size();
+    return count_;
   }
 
   bool closed() const {
@@ -190,21 +198,46 @@ class BoundedQueue {
   }
 
  private:
+  /// Moves `item` into the ring's next free slot.  A full ring first
+  /// doubles (starting at 16 slots, never past the capacity) and moves
+  /// its items to the front of the new one, oldest first.
+  void push_locked(T&& item) REQUIRES(mutex_) {
+    if (count_ == ring_.size()) {
+      std::vector<T> grown(
+          std::min(capacity_, std::max<std::size_t>(16, 2 * count_)));
+      for (std::size_t i = 0; i < count_; ++i) {
+        grown[i] = std::move(ring_[wrap(head_ + i)]);
+      }
+      ring_.swap(grown);
+      head_ = 0;
+    }
+    ring_[wrap(head_ + count_)] = std::move(item);
+    ++count_;
+  }
+
   std::size_t take_locked(std::vector<T>& out, std::size_t max)
       REQUIRES(mutex_) {
     std::size_t taken = 0;
-    while (taken < max && !items_.empty()) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
+    while (taken < max && count_ > 0) {
+      out.push_back(std::move(ring_[head_]));
+      head_ = wrap(head_ + 1);
+      --count_;
       ++taken;
     }
     return taken;
   }
 
+  /// An index below 2 * ring_.size(), folded into the ring.
+  std::size_t wrap(std::size_t index) const REQUIRES(mutex_) {
+    return index >= ring_.size() ? index - ring_.size() : index;
+  }
+
   mutable typename Sync::Mutex mutex_;
   typename Sync::CondVar not_empty_;
   typename Sync::CondVar not_full_;
-  std::deque<T> items_ GUARDED_BY(mutex_);
+  std::vector<T> ring_ GUARDED_BY(mutex_);
+  std::size_t head_ GUARDED_BY(mutex_) = 0;   ///< oldest item's slot
+  std::size_t count_ GUARDED_BY(mutex_) = 0;  ///< items queued
   const std::size_t capacity_;
   bool closed_ GUARDED_BY(mutex_) = false;
   // Waiter counts make notifies precise: a push into a queue nobody is

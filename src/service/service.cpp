@@ -222,6 +222,9 @@ template <typename OnMiss>
 std::size_t AdderService::admit(std::span<Request> requests, Admission mode,
                                 OnMiss&& on_miss) {
   if (closed_.load(std::memory_order_acquire)) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      on_miss(i, requests[i]);
+    }
     throw std::runtime_error("AdderService: submit after close");
   }
   for (const Request& request : requests) {
@@ -583,6 +586,9 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
           std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
               .count()));
     }
+    // Hand the second operand back: the requester frees or reuses it,
+    // never this thread.
+    completion.b = std::move(request.b);
     deliver(request, std::move(completion));
   }
   if (run_count > 0) latency_cycles_.record_n(run_value, run_count);

@@ -33,7 +33,9 @@
 // Backpressure: `OverflowPolicy::Reject` fails submissions when the
 // queue is full (counted in `service.rejected`); `Block` throttles the
 // producer.  Either way memory stays bounded under overload.  Each
-// shard's queue (service/bounded_queue.hpp) has one push and one pop:
+// shard's queue (service/bounded_queue.hpp) keeps its requests in a
+// ring that grows to its working depth and then allocates nothing, and
+// it has one push and one pop:
 // admission pushes each shard's share of a call in one `push`, waiting
 // for space only under Block in worker mode, and every dispatcher runs
 // one loop over `pop_batch` — blocking on its own queue, or, with
@@ -169,9 +171,13 @@ struct ServiceConfig {
   trace::DriftMonitor* drift = nullptr;
 };
 
-/// What the requester gets back.
+/// What the requester gets back.  Both buffers a request brought in
+/// come back in it: `sum` lives in the first operand's buffer, and `b`
+/// is the second operand.  A dispatcher therefore frees no buffer a
+/// caller allocated; they die, or are reused, on the caller's side.
 struct Completion {
   BitVec sum;              ///< always the exact sum
+  BitVec b;                ///< the second operand, handed back unchanged
   bool flagged = false;    ///< ER fired; took the recovery lane
   bool speculative_wrong = false;  ///< the one-cycle answer was wrong
   long long latency_cycles = 0;    ///< modeled: queue wait + service
@@ -231,7 +237,8 @@ class AdderService {
   /// a rejection — and the operands are handed back through the rvalue
   /// references untouched, so the caller can park the SAME frame for a
   /// retry instead of copying operands defensively on every attempt.
-  /// Same throw conditions as submit().
+  /// Same throw conditions as submit(); a throw after close() hands the
+  /// operands back too.
   bool try_submit_callback(BitVec&& a, BitVec&& b,
                            CompletionCallback callback);
 
@@ -329,8 +336,9 @@ class AdderService {
   /// BoundedQueue::push call, keeps the inflight / submitted / rejected
   /// accounting (global and per-shard) and emits one `submit` trace
   /// event per admitted share.  Each request it cannot take is handed
-  /// back intact as `on_miss(index_in_requests, request)`.  Returns the
-  /// number admitted.  Throws like submit().
+  /// back intact as `on_miss(index_in_requests, request)`, also before
+  /// it throws because the service is closed.  Returns the number
+  /// admitted.  Throws like submit().
   template <typename OnMiss>
   std::size_t admit(std::span<Request> requests, Admission mode,
                     OnMiss&& on_miss);

@@ -96,6 +96,63 @@ TEST(NetProtocol, RequestRoundTripAcrossWidths) {
   }
 }
 
+TEST(NetProtocol, DecodeIntoAReusedFrameEqualsAFreshDecode) {
+  // The server decodes each request into a recycled frame whose operand
+  // buffers still hold an earlier request.  Whatever they hold (here
+  // every limb bit set, even above the width) and whatever width they
+  // have, the result must equal a decode into a fresh frame.
+  util::Rng rng(0x5107);
+  struct Case {
+    int before, after;
+  };
+  for (const Case c : {Case{100, 100}, Case{1024, 64}, Case{4096, 1}}) {
+    RequestFrame in;
+    in.id = rng.next_u64();
+    in.width = c.after;
+    in.a = random_vec(rng, c.after);
+    in.b = BitVec(c.after);  // zero, so any stale bit would show
+    std::vector<std::uint8_t> bytes;
+    net::encode_request(in, bytes);
+    ResponseFrame unused;
+
+    FrameDecoder fresh_decoder;
+    fresh_decoder.feed(bytes.data(), bytes.size());
+    RequestFrame fresh;
+    ASSERT_EQ(fresh_decoder.next(fresh, unused), FrameDecoder::Result::Frame);
+
+    RequestFrame reused;
+    reused.id = ~std::uint64_t{0};
+    reused.flags = net::kFlagTraceSampled;
+    reused.width = c.before;
+    reused.window = 77;
+    for (BitVec* v : {&reused.a, &reused.b}) {
+      *v = BitVec(c.before);
+      std::fill(v->limbs().begin(), v->limbs().end(), ~std::uint64_t{0});
+    }
+    FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    ASSERT_EQ(decoder.next(reused, unused), FrameDecoder::Result::Frame)
+        << c.before << " -> " << c.after << ": " << decoder.error();
+    EXPECT_EQ(reused.id, fresh.id);
+    EXPECT_EQ(reused.op, fresh.op);
+    EXPECT_EQ(reused.flags, fresh.flags);
+    EXPECT_EQ(reused.width, fresh.width);
+    EXPECT_EQ(reused.window, fresh.window);
+    EXPECT_EQ(reused.a, fresh.a) << c.before << " -> " << c.after;
+    EXPECT_EQ(reused.b, fresh.b) << c.before << " -> " << c.after;
+    EXPECT_EQ(reused.a, in.a);
+    EXPECT_EQ(reused.b, in.b);
+
+    // An operand moved out of the frame keeps its width but no limbs;
+    // the next decode must allocate afresh, not write into nothing.
+    const BitVec taken = std::move(reused.a);
+    decoder.feed(bytes.data(), bytes.size());
+    ASSERT_EQ(decoder.next(reused, unused), FrameDecoder::Result::Frame);
+    EXPECT_EQ(reused.a, in.a);
+    EXPECT_EQ(taken, in.a);
+  }
+}
+
 TEST(NetProtocol, ResponseRoundTripAllStatuses) {
   util::Rng rng(0xd00d);
   const int width = 128;
@@ -778,6 +835,52 @@ TEST(NetLoopback, GracefulShutdownDrainsOutstanding) {
   EXPECT_EQ(ok, 500);
   EXPECT_EQ(server->active_connections(), 0);
   server.reset();  // second shutdown via destructor: must be a no-op
+}
+
+TEST(NetLoopback, ClientHangingUpWithRequestsInFlightLeavesTheServerServing) {
+  // A client sends a burst and closes at once, so its requests complete
+  // after the server saw the hang-up.  Each completion returns its slot
+  // to a connection that is going away (ASan and TSan run this under the
+  // net label); the connection must still be torn down, and a second
+  // client must still be served.
+  const int width = 1024, window = 23;
+  AdderService service(service_config(width, window, OverflowPolicy::Block));
+  net::Server server(net::ServerConfig{}, service);
+  util::Rng rng(0xc105e);
+  constexpr int kBurst = 2000;
+  {
+    net::Client doomed("127.0.0.1", server.port());
+    doomed.cork(true);
+    for (int i = 0; i < kBurst; ++i) {
+      doomed.send(random_vec(rng, width), random_vec(rng, width));
+    }
+    doomed.flush();
+  }  // closed with every request unanswered
+  net::Client survivor("127.0.0.1", server.port());
+  for (int i = 0; i < 200; ++i) {
+    const BitVec a = random_vec(rng, width);
+    const BitVec b = random_vec(rng, width);
+    const ResponseFrame response = survivor.call(a, b);
+    ASSERT_EQ(response.status, Status::Ok);
+    ASSERT_EQ(response.sum, a + b);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.active_connections() > 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.active_connections(), 1);
+  service.flush();
+  const auto snap = service.registry().snapshot();
+  long long frames_in = 0;
+  for (const auto& [key, value] : snap.counters) {
+    if (key == "net.frames_in") frames_in = value;
+  }
+  // Every frame the server read was submitted; how many of the burst
+  // it read before the hang-up depends on timing.
+  EXPECT_GE(frames_in, 200);
+  EXPECT_LE(frames_in, kBurst + 200);
 }
 
 TEST(NetNotifier, PushAfterFinalTakeFreesTheConnection) {

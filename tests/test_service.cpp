@@ -199,6 +199,69 @@ TEST(ServiceCorrectness, ExactAtServiceWidthsAndBatchShapes) {
   }
 }
 
+TEST(ServiceOwnership, EveryCompletionHandsTheSecondOperandBack) {
+  // A dispatcher frees no buffer a caller allocated: each completion
+  // carries the submitted b back unchanged next to the exact sum, on the
+  // fast path and the recovery path, through futures and callbacks, in
+  // pump mode and with worker threads.
+  struct Shape {
+    int width, window;
+  };
+  for (const Shape shape : {Shape{1024, 23}, Shape{333, 9}}) {
+    for (const int workers : {0, 2}) {
+      const int n = shape.width, k = shape.window;
+      ServiceConfig config = pump_config(n, k);
+      config.workers = workers;
+      AdderService service(config);
+      util::Rng rng(static_cast<std::uint64_t>(n) * 7 + workers);
+      constexpr int kRequests = 120;
+      std::vector<BitVec> as, bs;
+      std::vector<std::future<Completion>> futures(kRequests);
+      std::vector<std::optional<Completion>> called(kRequests);
+      std::mutex called_mutex;
+      for (int i = 0; i < kRequests; ++i) {
+        const BitVec a = rng.next_bits(n);
+        // Every other request is b = ~a: one propagate run over the
+        // whole width, so it is flagged and takes the recovery path.
+        const BitVec b = i % 2 == 1 ? ~a : rng.next_bits(n);
+        as.push_back(a);
+        bs.push_back(b);
+        if (i % 3 == 0) {
+          ASSERT_TRUE(service.try_submit_callback(
+              BitVec(a), BitVec(b), [&called, &called_mutex, i](Completion c) {
+                std::lock_guard<std::mutex> lock(called_mutex);
+                called[static_cast<std::size_t>(i)] = std::move(c);
+              }));
+        } else {
+          auto future = service.submit(a, b);
+          ASSERT_TRUE(future.has_value());
+          futures[static_cast<std::size_t>(i)] = std::move(*future);
+        }
+        if (workers == 0 && i % 16 == 15) service.pump();
+      }
+      service.flush();
+      int flagged = 0;
+      for (int i = 0; i < kRequests; ++i) {
+        const auto idx = static_cast<std::size_t>(i);
+        Completion got;
+        if (i % 3 == 0) {
+          std::lock_guard<std::mutex> lock(called_mutex);
+          ASSERT_TRUE(called[idx].has_value()) << i;
+          got = std::move(*called[idx]);
+        } else {
+          got = futures[idx].get();
+        }
+        ASSERT_EQ(got.b, bs[idx]) << n << "/" << k << " request " << i;
+        ASSERT_EQ(got.sum, as[idx] + bs[idx]) << i;
+        ASSERT_EQ(got.flagged, core::aca_flag(as[idx], bs[idx], k)) << i;
+        flagged += got.flagged ? 1 : 0;
+      }
+      EXPECT_GE(flagged, kRequests / 2) << n << "/" << k;
+      EXPECT_LT(flagged, kRequests) << n << "/" << k;
+    }
+  }
+}
+
 TEST(ServiceDeterminism, FixedSeedSnapshotsAreByteIdentical) {
   // Single worker (pump mode), fixed seed, wall-time recording off:
   // the full telemetry snapshot — histograms included — must be
@@ -536,6 +599,66 @@ TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   EXPECT_EQ(queue.pop_batch(out, 64, kForever).taken, 2u);
   // ...and then reports shutdown immediately (no block).
   EXPECT_EQ(queue.pop_batch(out, 64, kForever).taken, 0u);
+}
+
+TEST(BoundedQueue, RingKeepsFifoAcrossWrapAroundAndGrowth) {
+  // Push five, pop three: the live items slide around the ring, so it
+  // wraps, and it fills while wrapped, so it grows with its oldest item
+  // in the middle (16 -> 32 -> 64 -> 100 slots, the last capped at the
+  // capacity).  Every item must come out once, in push order.
+  service::BoundedQueue<int> queue(100);
+  int next_in = 0, next_out = 0;
+  std::vector<int> out;
+  for (int round = 0; round < 48; ++round) {
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(push_one(queue, next_in++, false));
+    out.clear();
+    ASSERT_EQ(queue.pop_batch(out, 3, kNoWait).taken, 3u);
+    for (const int v : out) ASSERT_EQ(v, next_out++);
+  }
+  EXPECT_EQ(queue.size(), 96u);
+  // Full exactly at the capacity, whatever the ring's shape.
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(push_one(queue, next_in++, false));
+  EXPECT_FALSE(push_one(queue, -1, false));
+  out.clear();
+  EXPECT_EQ(queue.pop_batch(out, 1000, kNoWait).taken, 100u);
+  for (const int v : out) EXPECT_EQ(v, next_out++);
+  EXPECT_EQ(next_out, next_in);
+  // The drained ring keeps its slots and its order.
+  for (int i = 0; i < 7; ++i) EXPECT_TRUE(push_one(queue, next_in++, false));
+  out.clear();
+  EXPECT_EQ(queue.pop_batch(out, 1000, kNoWait).taken, 7u);
+  for (const int v : out) EXPECT_EQ(v, next_out++);
+}
+
+TEST(BoundedQueue, CapacityOneQueueHoldsOneItemAtATime) {
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{1}}) {
+    service::BoundedQueue<std::string> queue(capacity);  // 0 rounds up to 1
+    for (int i = 0; i < 5; ++i) {
+      std::vector<std::string> items{std::to_string(i), "spill"};
+      EXPECT_EQ(queue.push(items, false), 1u);
+      EXPECT_EQ(items[1], "spill");
+      std::vector<std::string> out;
+      EXPECT_EQ(queue.pop_batch(out, 8, kNoWait).taken, 1u);
+      EXPECT_EQ(out, (std::vector<std::string>{std::to_string(i)}));
+    }
+    EXPECT_EQ(queue.size(), 0u);
+  }
+}
+
+TEST(BoundedQueue, CloseDrainsWrappedRingInOrder) {
+  service::BoundedQueue<int> queue(8);
+  std::vector<int> out;
+  for (int i = 0; i < 6; ++i) EXPECT_TRUE(push_one(queue, i, false));
+  EXPECT_EQ(queue.pop_batch(out, 4, kNoWait).taken, 4u);
+  for (int i = 6; i < 12; ++i) EXPECT_TRUE(push_one(queue, i, false));
+  queue.close();
+  EXPECT_FALSE(push_one(queue, 99, false));
+  out.clear();
+  service::BoundedQueue<int>::PopResult result;
+  do {
+    result = queue.pop_batch(out, 3, kForever);
+  } while (!result.done);
+  EXPECT_EQ(out, (std::vector<int>{4, 5, 6, 7, 8, 9, 10, 11}));
 }
 
 // Like counter_value but tolerant of a not-yet-registered name: used
