@@ -10,9 +10,16 @@
 // trials put real counts behind the probabilities.  The scalar-vs-batch
 // throughput duel at the bottom is recorded (with everything else) in
 // error_rate.bench.json so future PRs have a perf trajectory.
+//
+// The lane-width section after it runs run_batch_monte_carlo at width
+// 1024, k = 23 with 64, 256 and 512 lanes and also writes
+// BENCH_simd.json to the working directory.
 
+#include <algorithm>
 #include <chrono>
+#include <fstream>
 #include <iostream>
+#include <vector>
 
 #include "analysis/aca_probability.hpp"
 #include "bench_common.hpp"
@@ -26,6 +33,13 @@
 namespace {
 
 constexpr long long kBatchTrials = 2'000'000;  // was 20'000 scalar trials
+
+/// Lane-width section: one thread (per-core kernel speed, as little
+/// contention from the rest of the host as the bench can have), trials
+/// per run and runs per point (the median is reported).
+constexpr int kSimdThreads = 1;
+constexpr long long kSimdTrials = 1LL << 23;
+constexpr int kSimdRuns = 5;
 
 // The scalar baseline the batch engine replaced — kept for the
 // throughput comparison (same work per trial as the old bench loop).
@@ -142,6 +156,88 @@ int main() {
     json.kv("isa", sim::isa_name(mc.isa));
     json.kv("lanes", mc.lanes);
     json.end_object();
+  }
+
+  bench::banner("SIMD lane width — batch Monte-Carlo at width 1024, k = 23");
+  {
+    // The sliced engine is the only code whose speed depends on the
+    // lane count: each point draws and evaluates `lanes` trials per
+    // batch on the widest tier <= active_isa() whose group divides the
+    // batch (VLSA_FORCE_ISA=avx512 reaches the 512-lane tier).
+    const int n = 1024;
+    const int k = bench::window_9999(n);
+    struct SimdPoint {
+      const char* isa;
+      int lanes;
+      double trials_per_sec;
+      double speedup;
+    };
+    std::vector<SimdPoint> points;
+    for (const int lanes : {64, 256, 512}) {
+      workloads::BatchMcConfig config;
+      config.width = n;
+      config.window = k;
+      config.trials = kSimdTrials;
+      config.seed = 0x51d;
+      config.threads = kSimdThreads;
+      config.collect_runs = false;
+      config.lanes = lanes;
+      std::vector<double> per_run;
+      sim::Isa isa = sim::Isa::Scalar;
+      for (int run = 0; run < kSimdRuns; ++run) {
+        const auto mc = workloads::run_batch_monte_carlo(config);
+        per_run.push_back(mc.trials_per_sec);
+        isa = mc.isa;
+      }
+      std::sort(per_run.begin(), per_run.end());
+      const double rate = per_run[per_run.size() / 2];
+      points.push_back({sim::isa_name(isa), lanes, rate,
+                        points.empty() ? 1.0
+                                       : rate / points.front().trials_per_sec});
+    }
+    util::Table table({"isa", "lanes", "Mtrials/s", "speedup vs 64 lanes"});
+    for (const auto& pt : points) {
+      table.add_row({pt.isa, std::to_string(pt.lanes),
+                     util::Table::num(pt.trials_per_sec / 1e6, 2),
+                     util::Table::num(pt.speedup, 2)});
+    }
+    table.print(std::cout);
+    const SimdPoint& widest = points.back();
+    const bool simd_available = sim::active_isa() != sim::Isa::Scalar;
+    const bool meets_floor = !simd_available || widest.speedup >= 1.5;
+    std::cout << "widest (" << widest.isa << ", " << widest.lanes
+              << " lanes) vs 64 lanes: " << util::Table::num(widest.speedup, 2)
+              << "x (floor 1.5x on SIMD hardware, not gated)\n";
+    const auto write_simd = [&](util::JsonWriter& out) {
+      out.kv("width", n).kv("window", k);
+      out.kv("threads", kSimdThreads);
+      out.kv("trials", kSimdTrials).kv("runs", kSimdRuns);
+      out.key("points").begin_array();
+      for (const auto& pt : points) {
+        out.begin_object();
+        out.kv("isa", pt.isa).kv("lanes", pt.lanes);
+        out.kv("trials_per_sec", pt.trials_per_sec);
+        out.kv("speedup_vs_64", pt.speedup);
+        out.end_object();
+      }
+      out.end_array();
+      out.kv("widest_isa", widest.isa);
+      out.kv("widest_lanes", widest.lanes);
+      out.kv("widest_speedup", widest.speedup);
+      out.kv("simd_tier_available", simd_available);
+      out.kv("meets_1_5x_floor", meets_floor);
+    };
+    json.key("simd").begin_object();
+    write_simd(json);
+    json.end_object();
+    std::ofstream simd_file("BENCH_simd.json");
+    std::cout << "(lane-width points -> BENCH_simd.json)\n";
+    util::JsonWriter simd_json(simd_file);
+    simd_json.begin_object();
+    simd_json.kv("bench", "BENCH_simd");
+    bench::write_provenance(simd_json);
+    write_simd(simd_json);
+    simd_json.end_object();
   }
 
   bench::banner("Input dependence — wrong-rate per operand distribution");

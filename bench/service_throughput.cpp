@@ -7,12 +7,6 @@
 //      limbs, so a batch of 64 amortizes only the per-pop work (queue
 //      transaction, clock tick, telemetry); the acceptance floor is 5x
 //      over the batch-size-1 scheduler at 8 workers.
-//   1b. Pop size — one dispatcher core, wide operands: max_batch 64 vs
-//      the machine's AVX2/AVX-512 lane counts, which set max_batch's
-//      auto value.  Every tier runs the same row-major evaluator, so
-//      this measures the pop size alone.  The acceptance floor is 1.5x
-//      single-core on SIMD hardware; the section is also written
-//      standalone to BENCH_simd.json.
 //   2. Tail latency vs operand distribution at a fixed Poisson arrival
 //      rate.  Uniform traffic flags ~never (p50 == p999 == a few
 //      cycles); near-complementary traffic flags ~always and the serial
@@ -373,92 +367,6 @@ int main(int argc, char** argv) {
   std::cout << "batch-64 vs batch-1 scheduler at 8 workers: "
             << util::Table::num(speedup, 1)
             << "x (acceptance floor is 5x)\n";
-
-  bench::banner(
-      "SIMD lane width — one dispatcher core, width-1024 operands");
-  // One dispatcher worker = single-core service throughput (producers
-  // only feed the queue), at width 1024.  Every row evaluates each
-  // request with the same row-major loop; the rows differ only in
-  // max_batch, the lane count of one tier at a time up to what this
-  // machine supports (or what VLSA_FORCE_ISA pins), so the ratio is
-  // what larger pops amortize, not a SIMD kernel speedup.
-  constexpr int kSimdWidth = 1024;
-  constexpr long long kSimdRequests = 192'000;
-  struct SimdPoint {
-    const char* isa;
-    int lanes;
-    double rps;
-    double speedup;
-  };
-  std::vector<SimdPoint> simd_points;
-  {
-    const auto base = measure_throughput(/*workers=*/1, /*max_batch=*/64,
-                                         kSimdRequests, kSimdWidth,
-                                         /*chunk=*/64);
-    simd_points.push_back({"scalar", 64, base.requests_per_sec, 1.0});
-    for (const sim::Isa tier : {sim::Isa::Avx2, sim::Isa::Avx512}) {
-      if (static_cast<int>(tier) > static_cast<int>(sim::active_isa())) {
-        continue;
-      }
-      if (!sim::isa_supported(tier)) continue;
-      const int lanes = sim::isa_lanes(tier);
-      const auto point = measure_throughput(/*workers=*/1, lanes,
-                                            kSimdRequests, kSimdWidth, lanes);
-      simd_points.push_back(
-          {sim::isa_name(sim::resolved_isa(sim::active_isa(), lanes)), lanes,
-           point.requests_per_sec,
-           point.requests_per_sec / base.requests_per_sec});
-    }
-  }
-  util::Table simd_table({"isa", "lanes", "Mreq/s", "speedup vs batch-64"});
-  for (const auto& pt : simd_points) {
-    simd_table.add_row({pt.isa, std::to_string(pt.lanes),
-                        util::Table::num(pt.rps / 1e6, 3),
-                        util::Table::num(pt.speedup, 2)});
-  }
-  simd_table.print(std::cout);
-  const SimdPoint& widest = simd_points.back();
-  const bool simd_available = simd_points.size() > 1;
-  const bool meets_simd_floor = !simd_available || widest.speedup >= 1.5;
-  std::cout << "widest tier (" << widest.isa << ", " << widest.lanes
-            << " lanes) vs batch-64: " << util::Table::num(widest.speedup, 2)
-            << "x (acceptance floor is 1.5x on SIMD hardware)\n";
-  const auto write_simd_json = [&](util::JsonWriter& out) {
-    out.kv("width", kSimdWidth);
-    out.kv("window", bench::window_9999(kSimdWidth));
-    out.kv("workers", 1);
-    out.kv("requests", kSimdRequests);
-    out.key("points").begin_array();
-    for (const auto& pt : simd_points) {
-      out.begin_object();
-      out.kv("isa", pt.isa).kv("lanes", pt.lanes);
-      out.kv("requests_per_sec", pt.rps);
-      out.kv("speedup_vs_batch64", pt.speedup);
-      out.end_object();
-    }
-    out.end_array();
-    out.kv("widest_isa", widest.isa);
-    out.kv("widest_lanes", widest.lanes);
-    out.kv("widest_speedup", widest.speedup);
-    out.kv("simd_tier_available", simd_available);
-    out.kv("meets_1_5x_floor", meets_simd_floor);
-  };
-  json.key("simd").begin_object();
-  write_simd_json(json);
-  json.end_object();
-  {
-    // Standing baseline for the perf trajectory: BENCH_simd.json holds
-    // just this section (the first committed data point lives at the
-    // repo root; see docs/benchmarks.md).
-    std::ofstream simd_file("BENCH_simd.json");
-    std::cout << "(SIMD baseline -> BENCH_simd.json)\n";
-    util::JsonWriter simd_json(simd_file);
-    simd_json.begin_object();
-    simd_json.kv("bench", "BENCH_simd");
-    bench::write_provenance(simd_json);
-    write_simd_json(simd_json);
-    simd_json.end_object();
-  }
 
   bench::banner(
       "Tail latency vs distribution — Poisson arrivals at fixed rate");

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace vlsa::analysis {
 
@@ -9,29 +10,31 @@ LongestRunCounter::LongestRunCounter(int max_run) : max_run_(max_run) {
   if (max_run < 0) {
     throw std::invalid_argument("LongestRunCounter: negative max_run");
   }
-  memo_.push_back(BigUint(1));  // A_0 = 1 (the empty string)
-  window_sum_ = BigUint(1);
+  ring_.resize(static_cast<std::size_t>(max_run) + 1);
 }
 
 const BigUint& LongestRunCounter::count(int n) {
   if (n < 0) throw std::invalid_argument("LongestRunCounter::count: n < 0");
-  while (static_cast<int>(memo_.size()) <= n) {
-    const int m = static_cast<int>(memo_.size());
-    BigUint next;
-    if (m <= max_run_) {
-      next = BigUint::pow2(m);
-    } else {
-      // A_m = sum_{j=0..x} A_{m-1-j}; `window_sum_` already holds the sum
-      // of memo_[m-1-x .. m-1].
-      next = window_sum_;
-    }
-    // Slide the window: add the new value, drop the one that falls out.
-    window_sum_ += next;
-    const int drop = m - max_run_ - 1;
-    if (drop >= 0) window_sum_ -= memo_[static_cast<std::size_t>(drop)];
-    memo_.push_back(std::move(next));
+  const int span = max_run_ + 1;
+  if (n < next_ - span) {  // fell out of the ring: start over
+    next_ = 0;
+    window_sum_ = BigUint();
   }
-  return memo_[static_cast<std::size_t>(n)];
+  for (; next_ <= n; ++next_) {
+    BigUint& slot = ring_[static_cast<std::size_t>(next_ % span)];
+    if (next_ <= max_run_) {
+      slot = BigUint::pow2(next_);
+      window_sum_ += slot;
+      continue;
+    }
+    // A_m = sum_{j=0..x} A_{m-1-j} = window_sum_.  Its slot holds
+    // A_{m-x-1}, the value that drops out of the next window.
+    spare_ = window_sum_;
+    window_sum_ -= slot;
+    window_sum_ += spare_;
+    std::swap(slot, spare_);
+  }
+  return ring_[static_cast<std::size_t>(n % span)];
 }
 
 double LongestRunCounter::prob_at_most(int n) {
@@ -54,10 +57,19 @@ double prob_longest_run_at_least(int n, int x) {
 }
 
 int longest_run_quantile(int n, double prob) {
-  for (int x = 0; x <= n; ++x) {
-    if (prob_longest_run_at_most(n, x) >= prob) return x;
+  // Start at Gordon's estimate, then step with the exact CDF.  The CDF
+  // is monotone in x, so this returns what a scan up from x = 0 would,
+  // after two or three exact evaluations instead of one per x.
+  int x = 0;
+  while (x < n && 1.0 - gordon_prob_run_at_least(n, x + 1) < prob) ++x;
+  if (prob_longest_run_at_most(n, x) >= prob) {
+    while (x > 0 && prob_longest_run_at_most(n, x - 1) >= prob) --x;
+    return x;
   }
-  return n;
+  while (x < n) {
+    if (prob_longest_run_at_most(n, ++x) >= prob) break;
+  }
+  return x;
 }
 
 double schilling_expected_run(int n) {

@@ -15,7 +15,9 @@ namespace vlsa::analysis {
 ///   A_n(x) = 2^n                          for n <= x,
 ///   A_n(x) = sum_{j=0..x} A_{n-1-j}(x)    otherwise,
 /// where A_n(x) counts n-bit strings whose longest 1-run is <= x.
-/// Values are memoized, so sweeping n upward is O(1) big-adds per step.
+/// Only the last x+1 values are kept, in a ring of reused buffers, so
+/// sweeping n upward is O(1) big-adds per step and allocates nothing
+/// once the buffers have grown; an n below the ring recomputes from 0.
 class LongestRunCounter {
  public:
   /// `max_run` is x; must be >= 0.
@@ -23,7 +25,7 @@ class LongestRunCounter {
 
   int max_run() const { return max_run_; }
 
-  /// A_n(x); n >= 0.
+  /// A_n(x); n >= 0.  The reference stays valid until the next call.
   const BigUint& count(int n);
 
   /// P(longest run <= x) for a uniform n-bit string.
@@ -31,8 +33,10 @@ class LongestRunCounter {
 
  private:
   int max_run_;
-  std::vector<BigUint> memo_;   // memo_[n] = A_n(x)
-  BigUint window_sum_;          // sum of the last (x+1) memo entries
+  int next_ = 0;              // the next m to compute
+  std::vector<BigUint> ring_;  // ring_[m % (x+1)] = A_m(x), m < next_
+  BigUint window_sum_;         // A_{next_-x-1} + ... + A_{next_-1}
+  BigUint spare_;              // reused temporary
 };
 
 /// P(longest 1-run of a uniform n-bit string <= x).  Exact.

@@ -281,9 +281,11 @@ void AdminServer::loop() {
         // One response per connection (Connection: close): write until
         // done or EAGAIN, then the poll above watches POLLOUT.
         while (conn.out_off < conn.outbuf.size()) {
+          // MSG_NOSIGNAL: a scraper that hung up must not SIGPIPE the
+          // process.
           const ssize_t n =
-              ::write(conn.fd, conn.outbuf.data() + conn.out_off,
-                      conn.outbuf.size() - conn.out_off);
+              ::send(conn.fd, conn.outbuf.data() + conn.out_off,
+                     conn.outbuf.size() - conn.out_off, MSG_NOSIGNAL);
           if (n > 0) {
             conn.out_off += static_cast<std::size_t>(n);
             continue;

@@ -16,7 +16,7 @@ namespace vlsa::net {
 
 namespace {
 
-// Corked-mode flush threshold: enough frames per write(2) that the
+// Corked-mode flush threshold: enough frames per send(2) that the
 // syscall stops being the per-request cost, small enough that the
 // kernel socket buffer absorbs it without blocking mid-burst.
 constexpr std::size_t kCorkFlushBytes = std::size_t{64} * 1024;
@@ -24,7 +24,9 @@ constexpr std::size_t kCorkFlushBytes = std::size_t{64} * 1024;
 void write_all(int fd, const std::uint8_t* data, std::size_t size) {
   std::size_t off = 0;
   while (off < size) {
-    const ssize_t n = ::write(fd, data + off, size - off);
+    // MSG_NOSIGNAL: a server that went away is EPIPE, reported as
+    // ConnectionError, not a SIGPIPE that kills the whole process.
+    const ssize_t n = ::send(fd, data + off, size - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
       continue;

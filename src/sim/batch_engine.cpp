@@ -63,31 +63,36 @@ void extract_lane(const std::uint64_t* sliced, int width, int words, int lane,
   }
 }
 
-/// Run the eval kernel group by group over a wide slice pair.  The
-/// first `n * words` words of out.scratch hold the run mask; callers
-/// may keep their own data after them.
-void wide_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
-               int lanes, int k, const std::uint64_t* carry_in,
+/// Run the eval kernel group by group over a wide slice pair: every
+/// output, or (`all_outputs` false) only `flagged` and `wrong`, with the
+/// other outputs left empty.
+void wide_eval(const WideBatch& ops, int k, bool subtract,
+               const std::uint64_t* carry_in, bool all_outputs,
                WideResult& out, Isa isa) {
-  const int words = lanes / 64;
+  check_wide(ops, k);
+  const int n = ops.width;
+  const int words = ops.words();
   out.width = n;
-  out.lanes = lanes;
-  const auto signal_words =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(words);
+  out.lanes = ops.lanes;
   // No zero-fill: the kernel writes every word of every output.
-  out.sum_spec.resize(signal_words);
-  out.carry_out_spec.resize(static_cast<std::size_t>(words));
-  out.carry_out_exact.resize(static_cast<std::size_t>(words));
-  out.flagged.resize(static_cast<std::size_t>(words));
-  out.wrong.resize(static_cast<std::size_t>(words));
-  if (out.scratch.size() < signal_words) out.scratch.resize(signal_words);
+  const auto masks = static_cast<std::size_t>(words);
+  out.sum_spec.resize(all_outputs ? ops.a.size() : 0);
+  out.carry_out_spec.resize(all_outputs ? masks : 0);
+  out.carry_out_exact.resize(all_outputs ? masks : 0);
+  out.flagged.resize(masks);
+  out.wrong.resize(masks);
 
+  const detail::Kernels* kn = detail::kernels_for(isa, words);
+  out.scratch.resize(
+      static_cast<std::size_t>(detail::eval_scratch_words(n, k)) *
+      static_cast<std::size_t>(kn->group_words));
   const detail::EvalOut eo{out.sum_spec.data(), out.carry_out_spec.data(),
                            out.carry_out_exact.data(), out.flagged.data(),
                            out.wrong.data()};
-  const detail::Kernels* kn = detail::kernels_for(isa, words);
+  const detail::Kernels::Eval eval = all_outputs ? kn->eval : kn->flags;
   for (int w0 = 0; w0 < words; w0 += kn->group_words) {
-    kn->eval(a, b, n, words, w0, k, carry_in, out.scratch.data(), eo);
+    eval(ops.a.data(), ops.b.data(), n, words, w0, k, subtract, carry_in,
+         out.scratch.data(), eo);
   }
 }
 
@@ -96,9 +101,8 @@ void wide_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
 void wide_aca_add_into(const WideBatch& ops, int k,
                        const std::uint64_t* carry_in, WideResult& out,
                        Isa isa) {
-  check_wide(ops, k);
-  wide_eval(ops.a.data(), ops.b.data(), ops.width, ops.lanes, k, carry_in,
-            out, isa);
+  wide_eval(ops, k, /*subtract=*/false, carry_in, /*all_outputs=*/true, out,
+            isa);
 }
 
 WideResult wide_aca_add(const WideBatch& ops, int k,
@@ -110,22 +114,19 @@ WideResult wide_aca_add(const WideBatch& ops, int k,
 
 void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
                        Isa isa) {
-  check_wide(ops, k);
-  // a - b = a + ~b + 1 per lane, carry-in set on every lane.  ~b and
-  // the carry-in mask sit in out.scratch after the run mask.
-  const std::size_t signal_words = ops.b.size();
-  out.scratch.resize(2 * signal_words + static_cast<std::size_t>(ops.words()));
-  std::uint64_t* bc = out.scratch.data() + signal_words;
-  std::uint64_t* ones = bc + signal_words;
-  for (std::size_t i = 0; i < signal_words; ++i) bc[i] = ~ops.b[i];
-  std::fill_n(ones, ops.words(), ~std::uint64_t{0});
-  wide_eval(ops.a.data(), bc, ops.width, ops.lanes, k, ones, out, isa);
+  wide_eval(ops, k, /*subtract=*/true, nullptr, /*all_outputs=*/true, out,
+            isa);
 }
 
 WideResult wide_aca_sub(const WideBatch& ops, int k, Isa isa) {
   WideResult out;
   wide_aca_sub_into(ops, k, out, isa);
   return out;
+}
+
+void wide_aca_flags_into(const WideBatch& ops, int k, bool subtract,
+                         WideResult& out, Isa isa) {
+  wide_eval(ops, k, subtract, nullptr, /*all_outputs=*/false, out, isa);
 }
 
 std::vector<int> wide_longest_runs(const WideBatch& ops, Isa isa) {

@@ -11,11 +11,13 @@
 // carries, the k-propagate run mask R_k, the speculative carries
 // c_spec = c_exact & ~R_k (docs/theory.md §4), the ER flag, the
 // mispredict indicator — are then plain AND/OR/XOR recurrences over
-// those words, evaluating every lane simultaneously.  R_k is built by
-// doubling runs of length 1, 2, 4, ..., so one batch costs O(n log k)
-// word operations per 64 lanes instead of a per-bit interpreted loop,
-// which is where batch Monte-Carlo (workloads/batch_monte_carlo.hpp)
-// gets its two-orders-of-magnitude throughput win.  Evaluation runs on
+// those words, evaluating every lane simultaneously.  One streaming
+// pass builds R_k from block prefix and suffix ANDs (wide_kernel.hpp),
+// so one batch costs O(n) word operations per 64 lanes at any window
+// instead of a per-bit interpreted loop, which is where batch
+// Monte-Carlo (workloads/batch_monte_carlo.hpp) gets its
+// two-orders-of-magnitude throughput win; it asks for the flags alone
+// (wide_aca_flags_into) and skips every sum store.  Evaluation runs on
 // the widest kernel the requested ISA allows (see sim/isa.hpp): one
 // AVX-512 step advances 512 lanes, AVX2 256, scalar 64, all
 // bit-identical to each other.
@@ -72,8 +74,8 @@ struct WideResult {
   std::vector<std::uint64_t> carry_out_exact;  ///< lane mask
   std::vector<std::uint64_t> flagged;  ///< lane mask: ER fired (chain >= k)
   std::vector<std::uint64_t> wrong;    ///< lane mask: speculative != exact
-  /// Engine working memory (the run mask; for subtraction also ~b and
-  /// the all-ones carry-in).  Not an output.
+  /// Engine working memory (the window's block suffix ANDs, a few words
+  /// per lane word, independent of the width).  Not an output.
   std::vector<std::uint64_t> scratch;
 
   [[nodiscard]] int words() const { return lanes / 64; }
@@ -107,6 +109,14 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
 
 [[nodiscard]] WideResult wide_aca_sub(const WideBatch& ops, int k,
                                       Isa isa = active_isa());
+
+/// Only the ER flag and the mispredict mask of ACA(width, k), for the
+/// addition (no carry in) or, with `subtract`, the subtraction path:
+/// the same `flagged` and `wrong` as wide_aca_add_into /
+/// wide_aca_sub_into, without storing the speculative sum or the
+/// carry-outs (left empty in `out`).  This is what Monte-Carlo reads.
+void wide_aca_flags_into(const WideBatch& ops, int k, bool subtract,
+                         WideResult& out, Isa isa = active_isa());
 
 /// Per-lane longest propagate chain (`ops.lanes` entries).
 [[nodiscard]] std::vector<int> wide_longest_runs(const WideBatch& ops,

@@ -76,12 +76,14 @@ bool isa_supported(Isa isa) { return isa_compiled(isa) && cpu_has(isa); }
 
 Isa best_isa() {
   // AVX2 ahead of AVX-512, deliberately.  The first reference host
-  // (1 thread) measured the 512-lane tier 3% behind AVX2 end to end;
-  // on the 4-vCPU AVX-512 host, with the O(n log k) kernel, it reads
-  // 1.43 vs 1.33 Mreq/s at width 1024 (medians of 4 runs that spread
-  // by 30%; docs/benchmarks.md).  Switching the default would change
-  // every Monte-Carlo RNG stream and every service workload's batch
-  // shape, so it is a change of its own.
+  // (1 thread) measured the 512-lane tier 3% behind AVX2 end to end.
+  // The sliced kernel now serves batch Monte-Carlo only; on the 4-vCPU
+  // AVX-512 host, with the streaming O(n) kernel, bench/error_rate's
+  // lane-width section (width 1024, k = 23, one thread) reads medians
+  // of 20.1M trials/s at 256 AVX2 lanes and 20.8M at 512 AVX-512 lanes
+  // over six runs each (docs/benchmarks.md).  Switching the default
+  // would change every default Monte-Carlo RNG stream and the service's
+  // automatic max_batch, so it is a change of its own.
   // VLSA_FORCE_ISA=avx512 (active_isa) is the explicit opt-in.
   if (isa_supported(Isa::Avx2)) return Isa::Avx2;
   if (isa_supported(Isa::Avx512)) return Isa::Avx512;

@@ -5,10 +5,10 @@
 // scalar (always), AVX2 and AVX-512 (when the compiler supports the
 // flags; see src/sim/CMakeLists.txt) — and selected at runtime from a
 // CPUID probe.  The choice is a process-wide constant: `active_isa()`
-// resolves once (widest supported tier, or the `VLSA_FORCE_ISA`
-// environment override — values `scalar` / `avx2` / `avx512`,
-// case-insensitive) and every caller that doesn't pass an explicit Isa
-// inherits it.  Forcing an ISA the build lacks or the CPU can't run is
+// resolves once (`best_isa()`: AVX2 when supported, else AVX-512, else
+// scalar; or the `VLSA_FORCE_ISA` environment override — values
+// `scalar` / `avx2` / `avx512`, case-insensitive) and every caller that
+// doesn't pass an explicit Isa inherits it.  Forcing an ISA the build lacks or the CPU can't run is
 // an error, not a silent fallback — tests rely on the override actually
 // overriding.
 //

@@ -27,11 +27,14 @@ RowFlags row_aca_add(const util::BitVec& a, const util::BitVec& b, int k,
     r[i] = av[i] ^ bv[i];
     any |= r[i];
   }
-  // R_k by doubling, as kernel_run_mask builds it across lanes: after a
-  // step, bit i is set iff bits [i-t+1 .. i] all propagate.  R << step
-  // shifts zeros in at bit 0, so a run that would reach below bit 0
-  // drops out and R_k[i] = 0 for i < k-1.  The loop stops as soon as no
-  // run survives; that skips work and changes no output.
+  // R_k by AND-doubling across the limbs.  A shift moves every bit of a
+  // limb at once, so this costs O(limbs * log k); the sliced kernel,
+  // whose bit positions are separate words, builds R_k from block
+  // prefix/suffix ANDs instead.  After a step, bit i is set iff bits
+  // [i-t+1 .. i] all propagate.  R << step shifts zeros in at bit 0, so
+  // a run that would reach below bit 0 drops out and R_k[i] = 0 for
+  // i < k-1.  The loop stops as soon as no run survives; that skips
+  // work and changes no output.
   for (int t = 1; t < k && any != 0;) {
     const int step = std::min(t, k - t);
     const int words = step / 64;

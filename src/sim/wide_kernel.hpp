@@ -12,15 +12,25 @@
 // G divides `words`.  Mask outputs (carry-outs, ER flags, mispredict)
 // are lane masks occupying words [w0, w0+G).
 //
-// One exact-carry pass plus the k-propagate run mask R_k gives every
-// output (docs/theory.md §4): the speculative carry is the exact carry
-// except where a run of k propagates ends, c_spec[i] = c_exact[i] &
-// ~R_k[i].  R_k comes from AND-doubling over windows of length 1, 2,
-// 4, ... (the sharing of the paper's Fig. 3/4), so a lane group costs
-// O(n log k) word operations, not O(n·k).  The template only changes
-// how many lanes one word step advances.  Differential tests pin every
-// instantiation to the scalar model (tests/test_batch_engine.cpp); the
-// identity itself is proved at gate level (tests/test_formal.cpp,
+// One streaming pass per lane group gives every output
+// (docs/theory.md §4): the speculative carry is the exact carry except
+// where a run of k propagates ends, c_spec[i] = c_exact[i] & ~R_k[i].
+// The pass reads each bit position's a and b once, ripples the exact
+// carry and keeps R_k as a sliding-window AND over blocks of k
+// positions, the software form of the strips the paper's Fig. 3/4
+// share between overlapping windows.  For i = q*k + j (block q,
+// offset j),
+//
+//   R_k[i] = S_{q-1}[j+1] & P_q[j],
+//
+// where P_q[j] is the running AND of p over offsets 0..j of block q and
+// S_{q-1}[j+1] the AND over offsets j+1..k-1 of block q-1, written by
+// one backward pass when block q-1 completes.  That is three ANDs per
+// bit position at any k, so a lane group costs O(n) word operations.
+// The template only changes how many lanes one word step advances.
+// Differential tests pin every instantiation to the scalar model
+// (tests/test_batch_engine.cpp); the identity and this construction of
+// R_k are proved at gate level (tests/test_formal.cpp,
 // Formal.SpeculativeCarryIdentityMatchesBuildAca).
 
 #include <algorithm>
@@ -35,7 +45,8 @@ namespace vlsa::sim::detail {
 
 /// Output pointers for one kernel_eval call, all in the wide slice
 /// layout described above (sum_spec is `n * stride` words, mask arrays
-/// are `stride` words; the kernel touches only its group).
+/// are `stride` words; the kernel touches only its group).  The
+/// flags-only instantiation writes just `flagged` and `wrong`.
 struct EvalOut {
   std::uint64_t* sum_spec = nullptr;
   std::uint64_t* carry_out_spec = nullptr;
@@ -44,66 +55,78 @@ struct EvalOut {
   std::uint64_t* wrong = nullptr;
 };
 
-/// The run mask R_k of one group into `r` (n * kWords words, bit i at
-/// r + i * kWords): lane j of R_k[i] is set iff lane j's propagate bits
-/// [i-k+1 .. i] are all 1.  Starts from p and doubles the run length in
-/// place; zeros shift in from below, so R_k[i] = 0 for i < k-1 (and for
-/// every i when k > n).  OR over i is exactly the scalar ER flag.
-template <class Word>
-void kernel_run_mask(const std::uint64_t* a, const std::uint64_t* b, int n,
-                     int stride, int w0, int k, std::uint64_t* r) {
-  constexpr int G = Word::kWords;
-  for (int i = 0; i < n; ++i) {
-    const std::size_t at = static_cast<std::size_t>(i) * stride + w0;
-    (Word::load(a + at) ^ Word::load(b + at)).store(r + i * G);
-  }
-  for (int t = 1; t < k;) {
-    const int s = std::min(t, k - t);
-    // Descending i so r[i - s] still holds the length-t run.
-    for (int i = n - 1; i >= s; --i) {
-      (Word::load(r + i * G) & Word::load(r + (i - s) * G)).store(r + i * G);
-    }
-    std::fill(r, r + std::min(s, n) * G, std::uint64_t{0});
-    t += s;
-  }
-}
+/// Scratch words per lane word that kernel_eval needs for window `k`
+/// at width `n`: one suffix word per block offset plus an all-ones
+/// sentinel.  A window longer than n never fits, so k is clamped to
+/// n + 1 (which never completes a block: R_k is 0 everywhere).
+inline int eval_scratch_words(int n, int k) { return std::min(k, n + 1) + 1; }
 
-/// Full evaluation of ACA(n, k) on one lane group, checked against the
-/// exact carry chain.  `carry_in` is a lane-mask base pointer (nullptr
-/// = no carry in);
-/// `r` is n * kWords words of working memory for the run mask.
-template <class Word>
+/// ACA(n, k) on one lane group, checked against the exact carry chain,
+/// in one pass over the bit positions.  `subtract` evaluates a + ~b + 1
+/// (b is complemented as it is read, the carry in is all ones);
+/// otherwise `carry_in` is a lane-mask base pointer (nullptr = no carry
+/// in).  `suffix` is eval_scratch_words(n, k) * kWords words of working
+/// memory.  kAllOutputs = false writes only out.flagged and out.wrong.
+template <class Word, bool kAllOutputs>
 void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
-                 int stride, int w0, int k, const std::uint64_t* carry_in,
-                 std::uint64_t* r, const EvalOut& out) {
+                 int stride, int w0, int k, bool subtract,
+                 const std::uint64_t* carry_in, std::uint64_t* suffix,
+                 const EvalOut& out) {
   constexpr int G = Word::kWords;
-  kernel_run_mask<Word>(a, b, n, stride, w0, k, r);
+  const Word ones = Word::splat(~std::uint64_t{0});
+  const Word flip = subtract ? ones : Word::zero();
+  const int window = eval_scratch_words(n, k) - 1;
+  // suffix[j] holds S_{q-1}[j]: zero before the first block completes,
+  // so R_k[i] = 0 for i < k-1; suffix[window] = S[k] is all ones.  The
+  // word at offset j is read (as S[j+1]) by offset j-1 and is then
+  // free, so offset j parks its p there for the next backward pass.
+  std::fill(suffix, suffix + static_cast<std::size_t>(window) * G,
+            std::uint64_t{0});
+  ones.store(suffix + static_cast<std::size_t>(window) * G);
   // Exact ripple, c_e[i] = g_i | (p_i & c_e[i-1]) with c_e[-1] = carry
   // in, and c_s[i] = c_e[i] & ~R_k[i]: a window that is all propagates
   // speculates 0, any other window sees the exact carry.  R_k is 0 for
   // i < k-1, so the short windows at the bottom keep the carry-in.
   // A lane is wrong iff some carry differs, i.e. c_e & R_k somewhere.
-  const Word cin =
-      carry_in == nullptr ? Word::zero() : Word::load(carry_in + w0);
+  const Word cin = subtract            ? ones
+                   : carry_in == nullptr ? Word::zero()
+                                         : Word::load(carry_in + w0);
   Word ce = cin;
   Word cs = cin;
   Word flagged = Word::zero();
   Word wrong = Word::zero();
-  for (int i = 0; i < n; ++i) {
-    const std::size_t at = static_cast<std::size_t>(i) * stride + w0;
-    const Word av = Word::load(a + at);
-    const Word bv = Word::load(b + at);
-    const Word p = av ^ bv;
-    (p ^ cs).store(out.sum_spec + at);
-    ce = (av & bv) | (p & ce);
-    const Word run = Word::load(r + i * G);
-    const Word miss = ce & run;
-    cs = ce ^ miss;
-    flagged = flagged | run;
-    wrong = wrong | miss;
+  for (int i0 = 0; i0 < n; i0 += window) {
+    const int len = std::min(window, n - i0);
+    Word prefix = ones;  // P_q[j]
+    for (int j = 0; j < len; ++j) {
+      const std::size_t at = static_cast<std::size_t>(i0 + j) * stride + w0;
+      const Word av = Word::load(a + at);
+      const Word bv = Word::load(b + at) ^ flip;
+      const Word p = av ^ bv;
+      prefix = prefix & p;
+      const Word run = Word::load(suffix + (j + 1) * G) & prefix;
+      p.store(suffix + j * G);
+      if constexpr (kAllOutputs) (p ^ cs).store(out.sum_spec + at);
+      ce = (av & bv) | (p & ce);
+      const Word miss = ce & run;
+      if constexpr (kAllOutputs) cs = ce ^ miss;
+      flagged = flagged | run;
+      wrong = wrong | miss;
+    }
+    if (len == window) {
+      // Block complete: turn its parked p words into S_q[j], the AND
+      // over offsets j..k-1, with the running AND kept in a register.
+      Word s = Word::load(suffix + (window - 1) * G);
+      for (int j = window - 2; j >= 0; --j) {
+        s = s & Word::load(suffix + j * G);
+        s.store(suffix + j * G);
+      }
+    }
   }
-  cs.store(out.carry_out_spec + w0);
-  ce.store(out.carry_out_exact + w0);
+  if constexpr (kAllOutputs) {
+    cs.store(out.carry_out_spec + w0);
+    ce.store(out.carry_out_exact + w0);
+  }
   flagged.store(out.flagged + w0);
   wrong.store(out.wrong + w0);
 }
@@ -170,10 +193,13 @@ void kernel_transpose64(std::uint64_t* t) {
 /// The per-ISA entry points the dispatcher selects between.  One table
 /// per compiled LaneWord; `group_words` is Word::kWords.
 struct Kernels {
+  using Eval = void (*)(const std::uint64_t* a, const std::uint64_t* b,
+                        int n, int stride, int w0, int k, bool subtract,
+                        const std::uint64_t* carry_in,
+                        std::uint64_t* suffix, const EvalOut& out);
   int group_words = 1;
-  void (*eval)(const std::uint64_t* a, const std::uint64_t* b, int n,
-               int stride, int w0, int k, const std::uint64_t* carry_in,
-               std::uint64_t* r, const EvalOut& out) = nullptr;
+  Eval eval = nullptr;   ///< every output
+  Eval flags = nullptr;  ///< `flagged` and `wrong` only
   void (*longest_runs)(const std::uint64_t* a, const std::uint64_t* b, int n,
                        int stride, int w0, int* runs) = nullptr;
   void (*transpose64)(std::uint64_t* t) = nullptr;
@@ -181,7 +207,8 @@ struct Kernels {
 
 template <class Word>
 const Kernels* make_kernels() {
-  static const Kernels table{Word::kWords, &kernel_eval<Word>,
+  static const Kernels table{Word::kWords, &kernel_eval<Word, true>,
+                             &kernel_eval<Word, false>,
                              &kernel_longest_runs<Word>,
                              &kernel_transpose64<Word>};
   return &table;

@@ -82,12 +82,7 @@ BatchMcResult run_batch_monte_carlo(const BatchMcConfig& config) {
     sim::WideResult result;
     for (long long i = 0; i < n_batches; ++i) {
       sim::fill_uniform(rng, batch);
-      if (config.subtract) {
-        sim::wide_aca_sub_into(batch, config.window, result);
-      } else {
-        sim::wide_aca_add_into(batch, config.window, /*carry_in=*/nullptr,
-                               result);
-      }
+      sim::wide_aca_flags_into(batch, config.window, config.subtract, result);
       tally.trials += lanes;
       for (const std::uint64_t m : result.flagged) {
         tally.flagged += std::popcount(m);

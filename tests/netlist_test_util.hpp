@@ -59,13 +59,26 @@ inline bool net_bit(const std::vector<std::uint64_t>& values,
   return (values[static_cast<std::size_t>(net)] >> lane) & 1;
 }
 
+/// How build_run_mask_aca builds the k-propagate run mask R_k.
+enum class RunMaskBuild {
+  /// In-place AND-doubling over runs of length 1, 2, 4, ... (zeros
+  /// shift in below bit k-1), as sim/row_kernel.cpp builds it.
+  Doubling,
+  /// Block prefix/suffix ANDs, as sim/wide_kernel.hpp builds it: for
+  /// i = q*k + j, R_k[i] = S_{q-1}[j+1] & P_q[j], with P_q[j] the AND
+  /// of p over offsets 0..j of block q and S_{q-1}[j+1] the AND over
+  /// offsets j+1..k-1 of block q-1 (all ones at j = k-1, zero before
+  /// the first block completes).
+  BlockWindow,
+};
+
 /// The batch engine's evaluation (sim/wide_kernel.hpp) as a gate
 /// netlist, ports named as core::build_aca(width, window, true) names
-/// them: exact ripple carries c_e, the k-propagate run mask R_k by
-/// in-place AND-doubling (zeros shift in below bit k-1), speculative
-/// carries c_s = c_e & ~R_k, sum[i] = p[i] ^ c_s[i-1], cout = c_s[n-1]
-/// and error = OR R_k.
-inline netlist::Netlist build_run_mask_aca(int width, int window) {
+/// them: exact ripple carries c_e, the run mask R_k built as `how`
+/// says, speculative carries c_s = c_e & ~R_k, sum[i] = p[i] ^ c_s[i-1],
+/// cout = c_s[n-1] and error = OR R_k.
+inline netlist::Netlist build_run_mask_aca(int width, int window,
+                                           RunMaskBuild how) {
   netlist::Netlist nl("run_mask_aca" + std::to_string(width) + "_k" +
                       std::to_string(window));
   const auto a = nl.add_input_bus("a", width);
@@ -78,12 +91,31 @@ inline netlist::Netlist build_run_mask_aca(int width, int window) {
     exact[i] = i == 0 ? g : nl.or2(g, nl.and2(p[i], exact[i - 1]));
   }
   std::vector<netlist::NetId> run = p;
-  for (int t = 1; t < window;) {
-    const auto s = static_cast<std::size_t>(std::min(t, window - t));
-    for (std::size_t i = n; i-- > 0;) {
-      run[i] = i >= s ? nl.and2(run[i], run[i - s]) : nl.const0();
+  if (how == RunMaskBuild::Doubling) {
+    for (int t = 1; t < window;) {
+      const auto s = static_cast<std::size_t>(std::min(t, window - t));
+      for (std::size_t i = n; i-- > 0;) {
+        run[i] = i >= s ? nl.and2(run[i], run[i - s]) : nl.const0();
+      }
+      t += static_cast<int>(s);
     }
-    t += static_cast<int>(s);
+  } else {
+    const auto k = static_cast<std::size_t>(window);
+    // suffix[j] = S_{q-1}[j] for the block before the current one.
+    std::vector<netlist::NetId> suffix(k, nl.const0());
+    for (std::size_t i0 = 0; i0 < n; i0 += k) {
+      netlist::NetId prefix = netlist::kNoNet;
+      for (std::size_t j = 0; j < k && i0 + j < n; ++j) {
+        prefix = j == 0 ? p[i0] : nl.and2(prefix, p[i0 + j]);
+        run[i0 + j] = j + 1 == k ? prefix : nl.and2(suffix[j + 1], prefix);
+      }
+      if (i0 + k <= n) {
+        suffix[k - 1] = p[i0 + k - 1];
+        for (std::size_t j = k - 1; j-- > 0;) {
+          suffix[j] = nl.and2(p[i0 + j], suffix[j + 1]);
+        }
+      }
+    }
   }
   std::vector<netlist::NetId> sum(n);
   netlist::NetId spec = netlist::kNoNet;  // c_s[i-1]

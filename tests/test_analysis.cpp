@@ -172,6 +172,70 @@ TEST(LongestRun, GordonApproximationTracksExactTail) {
   }
 }
 
+TEST(LongestRunCounter, RingRecomputesValuesBelowIt) {
+  // The counter keeps only the last x+1 values: asking for a smaller n
+  // (count(10) after count(100)) starts over, a value still in the ring
+  // is returned as is, and every answer equals a full memo of the
+  // recurrence.
+  constexpr int kMaxN = 300;
+  for (const int x : {0, 1, 5, 23}) {
+    std::vector<BigUint> memo;
+    for (int m = 0; m <= kMaxN; ++m) {
+      if (m <= x) {
+        memo.push_back(BigUint::pow2(m));
+        continue;
+      }
+      BigUint sum;
+      for (int j = 0; j <= x; ++j) {
+        sum += memo[static_cast<std::size_t>(m - 1 - j)];
+      }
+      memo.push_back(sum);
+    }
+    LongestRunCounter counter(x);
+    util::Rng rng(static_cast<std::uint64_t>(x) + 1);
+    std::vector<int> order{100, 10, 300, 300 - x, 299, 0, x, x + 1, 100 - x};
+    for (int i = 0; i < 40; ++i) {
+      order.push_back(static_cast<int>(rng.next_below(kMaxN + 1)));
+    }
+    for (const int n : order) {
+      ASSERT_EQ(counter.count(n), memo[static_cast<std::size_t>(n)])
+          << "x=" << x << " n=" << n;
+    }
+  }
+}
+
+TEST(LongestRunQuantile, EqualsLinearScanForEveryWidthTo2048) {
+  // The quantile starts at Gordon's estimate and steps; a scan up from
+  // x = 0 over the same exact CDF must give the same answer everywhere.
+  constexpr int kMaxN = 2048;
+  constexpr int kMaxX = 40;
+  // cdf[x][n] = P(longest run <= x), one upward sweep of n per x.
+  std::vector<std::vector<double>> cdf(
+      kMaxX + 1, std::vector<double>(static_cast<std::size_t>(kMaxN) + 1));
+  for (int x = 0; x <= kMaxX; ++x) {
+    LongestRunCounter counter(x);
+    for (int n = 0; n <= kMaxN; ++n) {
+      cdf[x][static_cast<std::size_t>(n)] =
+          x >= n ? 1.0 : counter.prob_at_most(n);
+    }
+  }
+  for (int n = 1; n <= kMaxN; ++n) {
+    for (const double prob : {0.5, 0.9, 0.99, 0.9999, 1.0 - 1e-6}) {
+      int expect = n;
+      for (int x = 0; x <= n; ++x) {
+        ASSERT_LE(x, kMaxX) << "n=" << n << " prob=" << prob;
+        if (cdf[static_cast<std::size_t>(x)][static_cast<std::size_t>(n)] >=
+            prob) {
+          expect = x;
+          break;
+        }
+      }
+      ASSERT_EQ(analysis::longest_run_quantile(n, prob), expect)
+          << "n=" << n << " prob=" << prob;
+    }
+  }
+}
+
 TEST(Theorem1, ClosedFormMatchesRecurrence) {
   for (int k = 1; k <= 30; ++k) {
     EXPECT_DOUBLE_EQ(analysis::expected_flips_recurrence(k),

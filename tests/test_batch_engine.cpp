@@ -588,6 +588,114 @@ TEST(BatchEngineWide, RejectsBadArguments) {
 }
 
 // ---------------------------------------------------------------------------
+// Flags-only evaluation (wide_aca_flags_into), what Monte-Carlo calls:
+// the same masks as the full evaluation, at every edge of the blocks of
+// k positions the kernel builds R_k from.
+// ---------------------------------------------------------------------------
+
+/// (n, k) shapes whose top bit lands inside the first block, on its
+/// last offset, just past it, and around the second and third block
+/// ends; plus k = n, k = n + 1 and k far beyond n.
+std::vector<std::pair<int, int>> block_edge_shapes() {
+  std::vector<std::pair<int, int>> out;
+  for (int k : {1, 2, 7, 23}) {
+    for (int n : {k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1, 3 * k}) {
+      if (n >= 1) out.emplace_back(n, k);
+    }
+  }
+  for (int n : {1, 5, 64, 100}) {
+    for (int k : {n, n + 1, 40 * n + 7}) out.emplace_back(n, k);
+  }
+  return out;
+}
+
+TEST(BatchEngineFlags, MatchFullOutputsAndScalarModelAtBlockEdges) {
+  // Uniform operands, long runs (b = ~a with one word redrawn), every
+  // position propagating for the addition (b = ~a) and every position
+  // propagating for the subtraction, whose carry in is all ones
+  // (b = a).  Each batch runs through wide_aca_add (with and without an
+  // all-ones carry in), wide_aca_sub and wide_aca_flags_into both ways.
+  Rng rng(0xf1a65);
+  for (Isa isa : testable_isas()) {
+    const char* label = sim::isa_name(isa);
+    for (int lanes : {64, 256, 512}) {
+      const std::vector<std::uint64_t> none;
+      const std::vector<std::uint64_t> ones(
+          static_cast<std::size_t>(lanes) / 64, ~std::uint64_t{0});
+      for (const auto& [n, k] : block_edge_shapes()) {
+        SCOPED_TRACE(std::string(label) + " lanes " + std::to_string(lanes) +
+                     " n " + std::to_string(n) + " k " + std::to_string(k));
+        WideBatch ops(n, lanes);
+        for (int t = 0; t < 4; ++t) {
+          sim::fill_uniform(rng, ops);
+          if (t == 1 || t == 2) {
+            for (std::size_t i = 0; i < ops.b.size(); ++i) {
+              ops.b[i] = ~ops.a[i];
+            }
+          }
+          if (t == 1) ops.b[rng.next_below(ops.b.size())] = rng.next_u64();
+          if (t == 3) ops.b = ops.a;
+          WideResult flags;
+          sim::wide_aca_flags_into(ops, k, /*subtract=*/false, flags, isa);
+          const auto add = sim::wide_aca_add(ops, k, nullptr, isa);
+          expect_lanes_match_scalar(ops, none, k, add, label);
+          ASSERT_EQ(flags.flagged, add.flagged);
+          ASSERT_EQ(flags.wrong, add.wrong);
+          ASSERT_TRUE(flags.sum_spec.empty());
+          expect_lanes_match_scalar(ops, ones, k,
+                                    sim::wide_aca_add(ops, k, ones.data(), isa),
+                                    label);
+
+          sim::wide_aca_flags_into(ops, k, /*subtract=*/true, flags, isa);
+          const auto sub = sim::wide_aca_sub(ops, k, isa);
+          WideBatch negated = ops;
+          for (auto& word : negated.b) word = ~word;
+          expect_lanes_match_scalar(negated, ones, k, sub, label);
+          ASSERT_EQ(flags.flagged, sub.flagged);
+          ASSERT_EQ(flags.wrong, sub.wrong);
+          if (HasFatalFailure()) return;
+          if (t == 3) {
+            // a - a: every position propagates the all-ones carry in, so
+            // every full window mispredicts.
+            for (int lane = 0; lane < lanes; ++lane) {
+              ASSERT_EQ(flags.flagged_lane(lane), k <= n) << "lane " << lane;
+              ASSERT_EQ(flags.wrong_lane(lane), k <= n) << "lane " << lane;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchEngineFlags, ReusedResultDropsStaleOutputs) {
+  // One WideResult through a full evaluation, then flags only, then a
+  // narrower full evaluation: each call leaves exactly its own outputs.
+  Rng rng(0x57a1e);
+  WideBatch wide(333, 256), narrow(64, 64);
+  sim::fill_uniform(rng, wide);
+  sim::fill_uniform(rng, narrow);
+  WideResult out;
+  sim::wide_aca_add_into(wide, 9, nullptr, out);
+  ASSERT_EQ(out.sum_spec.size(), wide.a.size());
+  sim::wide_aca_flags_into(wide, 9, false, out);
+  EXPECT_TRUE(out.sum_spec.empty());
+  EXPECT_TRUE(out.carry_out_spec.empty());
+  EXPECT_TRUE(out.carry_out_exact.empty());
+  EXPECT_EQ(out.flagged, sim::wide_aca_add(wide, 9).flagged);
+  EXPECT_EQ(out.wrong, sim::wide_aca_add(wide, 9).wrong);
+  sim::wide_aca_add_into(narrow, 5, nullptr, out);
+  const auto fresh = sim::wide_aca_add(narrow, 5);
+  EXPECT_EQ(out.sum_spec, fresh.sum_spec);
+  EXPECT_EQ(out.carry_out_spec, fresh.carry_out_spec);
+  EXPECT_EQ(out.carry_out_exact, fresh.carry_out_exact);
+  EXPECT_EQ(out.flagged, fresh.flagged);
+  EXPECT_EQ(out.wrong, fresh.wrong);
+  EXPECT_THROW(sim::wide_aca_flags_into(wide, 0, false, out),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
 // Row-major evaluator (sim/row_kernel.hpp): one pair in its own limbs,
 // pinned to the scalar model and to the sliced engine on the active
 // tier (so the forced-ISA reruns compare it with every tier).

@@ -162,15 +162,21 @@ TEST(Formal, SpeculativeCarryIdentityMatchesBuildAca) {
   // The batch engine does not ripple each window: it computes
   // c_spec = c_exact & ~R_k (docs/theory.md §4).  Proved equal to the
   // shared-strip ACA on every output (sum, cout and error) with no
-  // assumptions.  k = 6 doubles by 1, 2, 3 and k = 23 by 1, 2, 4, 8,
-  // 7, so the last step is not a power of two in either.
-  for (const int k : {6, 23}) {
-    const auto reference = core::build_aca(64, k, true);
-    const auto identity = testing::build_run_mask_aca(64, k);
-    const auto result = check_equivalence_formal(identity, reference.nl);
-    EXPECT_EQ(result.verdict, FormalVerdict::Proven)
-        << "k " << k << ": " << result.summary();
-    EXPECT_EQ(result.outputs_compared, 64 + 2);
+  // assumptions, for both ways the code builds R_k.  Doubling: k = 6
+  // doubles by 1, 2, 3 and k = 23 by 1, 2, 4, 8, 7, so the last step is
+  // not a power of two in either.  Block prefix/suffix: 64 = 10*6 + 4
+  // and 64 = 2*23 + 18, so the last block is partial in both.
+  for (const auto how : {testing::RunMaskBuild::Doubling,
+                         testing::RunMaskBuild::BlockWindow}) {
+    for (const int k : {6, 23}) {
+      const auto reference = core::build_aca(64, k, true);
+      const auto identity = testing::build_run_mask_aca(64, k, how);
+      const auto result = check_equivalence_formal(identity, reference.nl);
+      EXPECT_EQ(result.verdict, FormalVerdict::Proven)
+          << "k " << k << " build " << static_cast<int>(how) << ": "
+          << result.summary();
+      EXPECT_EQ(result.outputs_compared, 64 + 2);
+    }
   }
 }
 

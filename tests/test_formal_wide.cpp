@@ -47,14 +47,20 @@ TEST(FormalWide, AcaConditionallyExactAt256And512) {
 
 TEST(FormalWide, SpeculativeCarryIdentityAt256And512) {
   // c_spec = c_exact & ~R_k, the batch engine's formula, against the
-  // shared-strip ACA on every output, with no assumptions.
-  for (const auto& [width, k] : {std::pair{256, 8}, std::pair{512, 9}}) {
-    const auto reference = core::build_aca(width, k, true);
-    const auto identity = testing::build_run_mask_aca(width, k);
-    const auto result = check_equivalence_formal(identity, reference.nl);
-    EXPECT_EQ(result.verdict, FormalVerdict::Proven)
-        << "width " << width << " k " << k << ": " << result.summary();
-    EXPECT_EQ(result.outputs_compared, width + 2);
+  // shared-strip ACA on every output, with no assumptions, for R_k by
+  // AND-doubling (the row-major kernel) and by block prefix/suffix ANDs
+  // (the sliced kernel; 512 = 56*9 + 8 ends in a partial block).
+  for (const auto how : {testing::RunMaskBuild::Doubling,
+                         testing::RunMaskBuild::BlockWindow}) {
+    for (const auto& [width, k] : {std::pair{256, 8}, std::pair{512, 9}}) {
+      const auto reference = core::build_aca(width, k, true);
+      const auto identity = testing::build_run_mask_aca(width, k, how);
+      const auto result = check_equivalence_formal(identity, reference.nl);
+      EXPECT_EQ(result.verdict, FormalVerdict::Proven)
+          << "width " << width << " k " << k << " build "
+          << static_cast<int>(how) << ": " << result.summary();
+      EXPECT_EQ(result.outputs_compared, width + 2);
+    }
   }
 }
 

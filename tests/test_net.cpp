@@ -883,6 +883,35 @@ TEST(NetLoopback, ClientHangingUpWithRequestsInFlightLeavesTheServerServing) {
   EXPECT_LE(frames_in, kBurst + 200);
 }
 
+TEST(NetLoopback, SendToAServerThatIsGoneThrowsConnectionError) {
+  // The server closes the connection when it is destroyed.  The next
+  // send lands in the socket buffer and draws a reset; a later one
+  // fails with EPIPE.  The client must throw ConnectionError there:
+  // a plain write(2) raises SIGPIPE instead, whose default action kills
+  // this test process.
+  const int width = 64, window = 8;
+  AdderService service(service_config(width, window, OverflowPolicy::Block));
+  auto server = std::make_unique<net::Server>(net::ServerConfig{}, service);
+  net::Client client("127.0.0.1", server->port());
+  util::Rng rng(0x919e);
+  const BitVec a = random_vec(rng, width);
+  const BitVec b = random_vec(rng, width);
+  ASSERT_EQ(client.call(a, b).status, Status::Ok);
+  server.reset();
+  bool threw = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!threw && std::chrono::steady_clock::now() < deadline) {
+    try {
+      client.send(a, b);
+    } catch (const net::ConnectionError&) {
+      threw = true;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(threw);
+}
+
 TEST(NetNotifier, PushAfterFinalTakeFreesTheConnection) {
   // The drain order that leaked a Connection: a completion callback
   // drops `inflight`, the loop sees the connection quiet, destroys it,
