@@ -18,6 +18,9 @@
 // send() to matching response) and per-stage from the server
 // (`net.read_ns` / `net.decode_ns` / `net.server_ns` / `net.write_ns`),
 // so a regression can be attributed to a stage, not just observed.
+// `net.server_ns` runs from dispatch to the response encoded on the
+// event loop, so it includes the service, the hand-back of the finished
+// request to the loop and the encode.
 //
 // Results land in net_throughput.bench.json (gitignored trajectory
 // sidecar) and BENCH_net.json — the committed copy of the latter
@@ -197,7 +200,7 @@ int main() {
   };
   stage_row("read", read_ns);
   stage_row("decode", decode_ns);
-  stage_row("service+encode", server_ns);
+  stage_row("service+hand-back+encode", server_ns);
   stage_row("write", write_ns);
   stages.print(std::cout);
 

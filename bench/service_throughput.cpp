@@ -40,7 +40,6 @@
 
 #include "bench_common.hpp"
 #include "service/service.hpp"
-#include "sim/isa.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
 #include "util/json.hpp"
@@ -54,9 +53,10 @@ using namespace vlsa;
 
 constexpr int kWidth = 64;
 constexpr int kProducers = 4;
-/// max_batch of the fixed-size configs: the scalar tier's lane count,
-/// the auto max_batch under VLSA_FORCE_ISA=scalar.
-const int kScalarLanes = sim::isa_lanes(sim::Isa::Scalar);
+/// max_batch of the batched configs: 64, the pop size the CI-gated
+/// batching ratio has always compared with batch 1.  The service's own
+/// default is kDefaultMaxBatch (256); neither depends on the ISA tier.
+constexpr int kBatch = 64;
 
 service::ServiceConfig base_config(int workers, int max_batch,
                                    int width = kWidth) {
@@ -158,7 +158,7 @@ struct ScalingPoint {
 // divides by now_cycles(), the max over per-shard virtual clocks
 // (makespan): N balanced shards retire N batches per makespan cycle.
 ScalingPoint measure_scaling(int shards, long long requests, int width) {
-  auto config = base_config(/*workers=*/shards, kScalarLanes, width);
+  auto config = base_config(/*workers=*/shards, kBatch, width);
   config.shards = shards;
   config.route = service::RoutePolicy::RoundRobin;
   config.record_wall_time = false;
@@ -336,7 +336,7 @@ int main(int argc, char** argv) {
   json.key("batching").begin_array();
   double rate_batch1_at8 = 0.0, rate_batch64_at8 = 0.0;
   for (int workers : {1, 2, 4, 8}) {
-    for (int max_batch : {1, kScalarLanes}) {
+    for (int max_batch : {1, kBatch}) {
       // The batch-1 scheduler pays a full queue transaction, clock tick
       // and telemetry round per request — give it a smaller request
       // count so the sweep stays quick.
@@ -379,7 +379,7 @@ int main(int argc, char** argv) {
   for (auto distribution :
        {workloads::Distribution::Uniform, workloads::Distribution::Correlated,
         workloads::Distribution::Complementary}) {
-    auto config = base_config(/*workers=*/4, kScalarLanes);
+    auto config = base_config(/*workers=*/4, kBatch);
     config.queue_capacity = 8192;
     config.overflow = service::OverflowPolicy::Reject;
     service::AdderService service(config);
@@ -447,7 +447,7 @@ int main(int argc, char** argv) {
   json.key("burstiness").begin_array();
   for (auto arrival : {workloads::ArrivalProcess::Poisson,
                        workloads::ArrivalProcess::Bursty}) {
-    auto config = base_config(/*workers=*/2, kScalarLanes);
+    auto config = base_config(/*workers=*/2, kBatch);
     config.queue_capacity = 512;
     config.overflow = service::OverflowPolicy::Reject;
     service::AdderService service(config);
@@ -484,14 +484,14 @@ int main(int argc, char** argv) {
   // of the disabled gate (one relaxed load per instrumentation site),
   // the second the cost of a live session at 1% detail sampling.  The
   // observability acceptance bar is < 10% regression for the latter.
-  const auto idle = measure_throughput(/*workers=*/4, kScalarLanes, 480'000);
+  const auto idle = measure_throughput(/*workers=*/4, kBatch, 480'000);
   double sampled_rps = 0.0;
   {
     trace::TraceConfig trace_config;
     trace_config.sample_rate = 0.01;
     trace_config.ring_capacity = std::size_t{1} << 12;
     trace::TraceSession session(trace_config);
-    sampled_rps = measure_throughput(/*workers=*/4, kScalarLanes, 480'000)
+    sampled_rps = measure_throughput(/*workers=*/4, kBatch, 480'000)
                       .requests_per_sec;
   }
   const double overhead = 1.0 - sampled_rps / idle.requests_per_sec;

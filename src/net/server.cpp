@@ -4,6 +4,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -17,7 +18,6 @@
 #include <utility>
 
 #include "net/listener.hpp"
-#include "net/notifier.hpp"
 #include "telemetry/registry.hpp"
 #include "trace/trace.hpp"
 
@@ -27,9 +27,8 @@ namespace detail {
 
 // ---------------------------------------------------------------------
 // Shared metric handles (one resolve at server construction; recording
-// is lock-free).  Held by shared_ptr so a completion callback that
-// outlives the Server (a request still in the service queue during a
-// forced teardown) never touches freed memory.
+// is lock-free).  The Server owns them and outlives its loops, and only
+// loop threads record them.
 struct Metrics {
   explicit Metrics(telemetry::Registry& r)
       : connections_accepted(r.counter("net.connections_accepted")),
@@ -68,123 +67,131 @@ struct Metrics {
 };
 
 struct Connection;
-using ConnNotifier = Notifier<Connection>;
+class Doorbell;
 
 // One request's buffers and reply metadata, recycled by its connection.
 // The loop decodes a frame into a free slot's `frame` (in place, so the
-// operand buffers are reused), hands the operands to the service, and
-// the completion callback puts the sum and the second operand back here
-// before it returns the slot.  So every buffer is allocated and freed by
-// the loop thread, and a steady connection allocates nothing per frame.
+// operand buffers are reused) and hands the operands to the service.
+// The completion callback parks the result in `completion` and hands
+// the slot back through `doorbell`; the loop encodes the response and
+// puts the sum and the second operand back into `frame`.  So every
+// buffer is allocated and freed by the loop thread, and a steady
+// connection allocates nothing per frame.
 struct Slot {
+  Slot(Connection& owner, Doorbell& bell) : conn(owner), doorbell(bell) {}
+
+  // Fixed when the slot is made; the callback needs nothing else.
+  Connection& conn;
+  Doorbell& doorbell;
   RequestFrame frame;  ///< id, trace flag, width and operand buffers
   std::chrono::steady_clock::time_point t0;  ///< dispatch time
   bool wire_sampled = false;  ///< the client sampled it and we trace
-  /// Engaged only while the request is in flight, so a slot never
-  /// outlives its connection and the callback needs nothing else.
-  std::shared_ptr<Connection> conn;
+  service::Completion completion;  ///< the result, until it is encoded
 };
 
-// Per-connection state.  Everything except `pending`/`returned`/
-// `inflight` is owned by the loop thread; `pending` and `returned` are
-// the producer side of the response path (service threads append under
-// the mutex) and `inflight` counts requests inside the service.
-struct Connection : std::enable_shared_from_this<Connection> {
+// Per-connection state.  Only its loop thread touches it, its slots and
+// its buffers.
+struct Connection {
   int fd = -1;
   std::uint64_t id = 0;
-  std::shared_ptr<ConnNotifier> notifier;
-  std::shared_ptr<Metrics> metrics;
-  int window = 0;  ///< the service's k, echoed in every response
   FrameDecoder decoder{DecoderLimits{}};
-
-  // Loop-thread state.
-  bool in_epoll = false;
   bool read_done = false;        ///< EOF seen (or server draining)
   bool close_requested = false;  ///< fatal: drop writes, close asap
+  bool flush_queued = false;     ///< listed for this wake-up's writes
   Slot* stalled = nullptr;       ///< Block policy: parked frame
-  std::vector<std::uint8_t> outbuf;  ///< loop-owned write staging
+  std::vector<std::uint8_t> outbuf;  ///< encoded responses, unsent
   std::size_t out_off = 0;
+  long long inflight = 0;  ///< slots inside the service
   std::vector<std::unique_ptr<Slot>> slots;  ///< every slot made here
   std::vector<Slot*> free_slots;             ///< not in flight or parked
-
-  std::atomic<long long> inflight{0};
-
-  util::Mutex pending_mutex;
-  std::vector<std::uint8_t> pending GUARDED_BY(pending_mutex);
-  /// Completed requests' slots, moved to free_slots by flush_writes.
-  std::vector<Slot*> returned GUARDED_BY(pending_mutex);
 
   ~Connection() {
     if (fd >= 0) ::close(fd);
   }
 
-  std::size_t pending_bytes() {
-    util::LockGuard lock(pending_mutex);
-    return pending.size();
-  }
-
-  /// The slot the next frame decodes into (loop thread): the newest
-  /// free one, or a new one when all are in use.  It stays free until
-  /// the caller pops it.
-  Slot& next_slot() {
+  /// The slot the next frame decodes into: the newest free one, or a
+  /// new one when all are in use.  It stays free until the caller pops
+  /// it.
+  Slot& next_slot(Doorbell& doorbell) {
     if (free_slots.empty()) {
-      slots.push_back(std::make_unique<Slot>());
+      slots.push_back(std::make_unique<Slot>(*this, doorbell));
       free_slots.push_back(slots.back().get());
     }
     return *free_slots.back();
   }
 };
 
-/// A request's completion, on the dispatcher that evaluated it: encode
-/// the response into the connection's pending buffer, return the slot
-/// with both buffers, then wake the loop.
-void complete_request(Slot& slot, service::Completion completion) {
-  // Once the slot is returned the loop may reuse it, so everything the
-  // reply needs leaves it first.
-  std::shared_ptr<Connection> conn = std::move(slot.conn);
-  const std::uint64_t rid = slot.frame.id;
-  const bool wire_sampled = slot.wire_sampled;
-  const auto t0 = slot.t0;
-  ResponseFrame response;
-  response.id = rid;
-  response.status = Status::Ok;
-  response.flags = static_cast<std::uint8_t>(
-      (completion.flagged ? kFlagRecovered : 0) |
-      (completion.speculative_wrong ? kFlagWrong : 0) |
-      (wire_sampled ? kFlagTraceSampled : 0));
-  response.width = slot.frame.width;
-  response.window = conn->window;
-  response.latency_ticks =
-      static_cast<std::uint64_t>(completion.latency_cycles);
-  response.sum = std::move(completion.sum);
-  {
-    util::LockGuard lock(conn->pending_mutex);
-    encode_response(response, conn->pending);
-    slot.frame.a = std::move(response.sum);
-    slot.frame.b = std::move(completion.b);
-    conn->returned.push_back(&slot);
+// A loop's inbox from other threads: an eventfd plus the connections
+// the acceptor adopts and the slots the dispatchers hand back, which
+// the loop swaps out in take().
+//
+// The eventfd is written under the lock, and only when the doorbell is
+// not already signalled, so a dispatcher's last access to loop memory
+// is the unlock.  Once the loop has taken a connection's last slot it
+// may destroy the connection, and once no connection is left the loop,
+// this doorbell and its eventfd may go too: a write after the unlock
+// could land on a closed descriptor, or on one reused by a new socket.
+class Doorbell {
+ public:
+  Doorbell() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    if (fd_ < 0) throw std::runtime_error("net: eventfd failed");
   }
-  Metrics& metrics = *conn->metrics;
-  metrics.frames_out.increment();
-  const auto server_ns = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count());
-  metrics.server_ns.record(server_ns);
-  if (wire_sampled && trace::enabled()) {
-    trace::EventArgs args;
-    args.batch = conn->id;
-    args.k = conn->window;
-    args.er = completion.flagged ? 1 : 0;
-    args.req = rid;
-    args.has_req = true;
-    trace::emit_span(trace::EventName::kNetServe, trace::to_session_ns(t0),
-                     server_ns, args);
+  ~Doorbell() { ::close(fd_); }
+
+  Doorbell(const Doorbell&) = delete;
+  Doorbell& operator=(const Doorbell&) = delete;
+
+  void adopt(std::unique_ptr<Connection> conn) {
+    util::LockGuard lock(mutex_);
+    adopted_.push_back(std::move(conn));
+    signal();
   }
-  conn->inflight.fetch_sub(1, std::memory_order_acq_rel);
-  ConnNotifier& notifier = *conn->notifier;
-  notifier.push(std::move(conn));
-}
+
+  void hand_back(Slot& slot) {
+    util::LockGuard lock(mutex_);
+    returned_.push_back(&slot);
+    signal();
+  }
+
+  void ring() {
+    util::LockGuard lock(mutex_);
+    signal();
+  }
+
+  /// Loop thread: everything posted since the last take, swapped with
+  /// the caller's lists (emptied first), so both sides keep their
+  /// capacity and a steady loop allocates nothing here.  The eventfd is
+  /// drained before the lock: whatever is posted after the read is
+  /// either in this take or signals again, and the lock is never held
+  /// across the read.
+  void take(std::vector<std::unique_ptr<Connection>>& adopted,
+            std::vector<Slot*>& returned) {
+    adopted.clear();
+    returned.clear();
+    std::uint64_t count = 0;
+    [[maybe_unused]] const auto n = ::read(fd_, &count, sizeof(count));
+    util::LockGuard lock(mutex_);
+    signalled_ = false;
+    adopted_.swap(adopted);
+    returned_.swap(returned);
+  }
+
+  [[nodiscard]] int fd() const { return fd_; }
+
+ private:
+  void signal() REQUIRES(mutex_) {
+    if (signalled_) return;
+    signalled_ = true;
+    const std::uint64_t one = 1;
+    [[maybe_unused]] const auto n = ::write(fd_, &one, sizeof(one));
+  }
+
+  const int fd_;
+  util::Mutex mutex_;
+  std::vector<std::unique_ptr<Connection>> adopted_ GUARDED_BY(mutex_);
+  std::vector<Slot*> returned_ GUARDED_BY(mutex_);
+  bool signalled_ GUARDED_BY(mutex_) = false;  ///< written since the take
+};
 
 // A fake capability naming the event-loop thread itself.  State marked
 // GUARDED_BY(loop_role_) has no mutex: it is single-threaded by
@@ -196,16 +203,20 @@ void complete_request(Slot& slot, service::Completion completion) {
 class CAPABILITY("role") LoopRole {};
 
 // ---------------------------------------------------------------------
-// One epoll event loop.  Connections are handed over by the acceptor
-// through the notifier; everything else happens on the loop thread.
+// One epoll event loop.  Connections and finished requests arrive
+// through the doorbell; everything else happens on the loop thread.
+//
+// Lifetime rule: a connection is destroyed only when none of its slots
+// is inside the service (maybe_close), and the loop exits only when no
+// connection is left.  So every slot a dispatcher hands back is taken
+// before the loop, its doorbell, the connection or the metrics go.
 class EventLoop {
  public:
   EventLoop(const ServerConfig& config, service::AdderService& service,
-            std::shared_ptr<Metrics> metrics)
+            Metrics& metrics)
       : config_(config),
         service_(service),
-        metrics_(std::move(metrics)),
-        notifier_(std::make_shared<ConnNotifier>()),
+        metrics_(metrics),
         width_(service.config().pipeline.width),
         window_(service.config().pipeline.window),
         reject_(service.config().overflow ==
@@ -214,10 +225,10 @@ class EventLoop {
     if (epfd_ < 0) throw std::runtime_error("net: epoll_create1 failed");
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = notifier_->wakefd();
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, notifier_->wakefd(), &ev) != 0) {
+    ev.data.fd = doorbell_.fd();
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, doorbell_.fd(), &ev) != 0) {
       ::close(epfd_);
-      throw std::runtime_error("net: epoll_ctl(wakefd) failed");
+      throw std::runtime_error("net: epoll_ctl(doorbell) failed");
     }
     thread_ = std::thread([this] { run(); });
   }
@@ -234,11 +245,8 @@ class EventLoop {
   }
 
   /// Hand a freshly accepted connection to this loop (acceptor thread).
-  void adopt(std::shared_ptr<Connection> conn) {
-    conn->notifier = notifier_;
-    conn->metrics = metrics_;
-    conn->window = window_;
-    notifier_->push(std::move(conn));
+  void adopt(std::unique_ptr<Connection> conn) {
+    doorbell_.adopt(std::move(conn));
   }
 
   /// Ask the loop to stop reading, finish in-flight work, close every
@@ -248,7 +256,7 @@ class EventLoop {
         now_ms() + static_cast<long long>(timeout.count()),
         std::memory_order_relaxed);
     draining_.store(true, std::memory_order_release);
-    notifier_->push(nullptr);  // pure wakeup
+    doorbell_.ring();
   }
 
   long long active() const {
@@ -280,87 +288,92 @@ class EventLoop {
     for (;;) {
       const bool draining = draining_.load(std::memory_order_acquire);
       // Stalled submissions and drain progress need a periodic tick;
-      // otherwise sleep until socket or notifier activity.
+      // otherwise sleep until socket or doorbell activity.
       const int timeout_ms = (!stalled_.empty() || draining) ? 5 : 200;
       const int n = ::epoll_wait(epfd_, events.data(),
                                  static_cast<int>(events.size()),
                                  timeout_ms);
-      if (n < 0 && errno != EINTR) break;
-      bool notified = false;
+      // A draining loop answers the doorbell on every tick, so nothing
+      // posted before the drain began is left behind when it exits.
+      bool rung = draining;
       for (int i = 0; i < std::max(n, 0); ++i) {
         const epoll_event& ev = events[static_cast<std::size_t>(i)];
-        if (ev.data.fd == notifier_->wakefd()) {
-          std::uint64_t drained = 0;
-          [[maybe_unused]] const auto r =
-              ::read(notifier_->wakefd(), &drained, sizeof(drained));
-          notified = true;
+        if (ev.data.fd == doorbell_.fd()) {
+          rung = true;
           continue;
         }
         const auto it = conns_.find(ev.data.fd);
         if (it == conns_.end()) continue;
-        auto conn = it->second;  // keep alive across handlers
-        if ((ev.events & EPOLLOUT) != 0) flush_writes(*conn);
+        Connection& conn = *it->second;
+        if ((ev.events & EPOLLOUT) != 0) flush_writes(conn);
         if ((ev.events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) !=
             0) {
-          handle_readable(*conn, chunk);
+          handle_readable(conn, chunk);
         }
-        maybe_close(*conn);
+        maybe_close(conn);
       }
-      if (notified) process_ready(chunk);
+      if (rung) answer_doorbell(chunk);
       retry_stalled(chunk);
-      if (draining) drain_tick(chunk);
-      if (draining_.load(std::memory_order_acquire) && conns_.empty()) {
-        // Late completion callbacks may still push (a callback drops
-        // `inflight` before it pushes, so the drain can finish between
-        // the two).  Close the ready list so those pushes drop their
-        // connection instead of parking it where nobody takes it, and
-        // release whatever is parked: every connection has left conns_.
-        notifier_->close_and_take();
-        break;
+      if (draining) {
+        drain_tick(chunk);
+        if (conns_.empty()) break;
       }
     }
   }
 
-  void process_ready(std::vector<std::uint8_t>& chunk)
+  /// Register the adopted connections, then encode every returned
+  /// response and write each connection they touched once.
+  void answer_doorbell(std::vector<std::uint8_t>& chunk)
       REQUIRES(loop_role_) {
-    for (auto& conn : notifier_->take()) {
-      if (conn == nullptr) continue;  // pure wakeup
-      if (!conn->in_epoll && conn->fd >= 0 && !conn->close_requested) {
-        // Register even when a drain has already begun: the socket was
-        // accepted before the listen socket closed, so it gets the
-        // same lame-duck service as every other live connection (the
-        // drain tick closes it once quiet).
-        register_conn(conn);
-        handle_readable(*conn, chunk);
-        maybe_close(*conn);
-        continue;
+    doorbell_.take(adopted_, returned_);
+    for (auto& owned : adopted_) {
+      // Register even when a drain has already begun: the socket was
+      // accepted before the listen socket closed, so it gets the same
+      // lame-duck service as every other live connection (the drain
+      // tick closes it once quiet).
+      Connection* const conn = owned.get();
+      if (!register_conn(std::move(owned))) continue;
+      handle_readable(*conn, chunk);
+      maybe_close(*conn);
+    }
+    metrics_.frames_out.increment(static_cast<long long>(returned_.size()));
+    for (Slot* const slot : returned_) {
+      Connection& conn = slot->conn;
+      encode_completion(*slot);
+      conn.free_slots.push_back(slot);
+      --conn.inflight;
+      if (!conn.flush_queued) {
+        conn.flush_queued = true;
+        touched_.push_back(&conn);
       }
-      if (conn->fd < 0) continue;  // already destroyed
+    }
+    for (Connection* const conn : touched_) {
+      conn->flush_queued = false;
       flush_writes(*conn);
       maybe_close(*conn);
     }
+    touched_.clear();
   }
 
-  void register_conn(const std::shared_ptr<Connection>& conn)
+  /// Returns false (and drops the connection, closing its socket) when
+  /// epoll refuses it.
+  bool register_conn(std::unique_ptr<Connection> conn)
       REQUIRES(loop_role_) {
     epoll_event ev{};
     ev.events = EPOLLIN | EPOLLOUT | EPOLLRDHUP | EPOLLET;
     ev.data.fd = conn->fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->fd, &ev) != 0) {
-      conn->close_requested = true;
-      destroy(*conn);
-      return;
-    }
-    conn->in_epoll = true;
-    conns_.emplace(conn->fd, conn);
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->fd, &ev) != 0) return false;
     active_.fetch_add(1, std::memory_order_relaxed);
-    metrics_->connections_active.add(1);
-    metrics_->connections_accepted.increment();
+    metrics_.connections_active.add(1);
+    metrics_.connections_accepted.increment();
     if (trace::enabled()) {
       trace::EventArgs args;
       args.batch = conn->id;
       trace::emit_instant(trace::EventName::kNetAccept, args);
     }
+    const int fd = conn->fd;
+    conns_.emplace(fd, std::move(conn));
+    return true;
   }
 
   // Drain the socket until EAGAIN (edge-triggered contract), feeding
@@ -369,9 +382,9 @@ class EventLoop {
   // accumulate in the kernel buffer and TCP pushes back on the client.
   void handle_readable(Connection& conn, std::vector<std::uint8_t>& chunk)
       REQUIRES(loop_role_) {
-    if (conn.fd < 0 || conn.read_done || conn.close_requested) return;
+    if (conn.read_done || conn.close_requested) return;
     if (conn.stalled != nullptr) {
-      metrics_->read_stalls.increment();
+      metrics_.read_stalls.increment();
       return;
     }
     const bool sampled = trace::enabled() && trace::sample();
@@ -397,9 +410,9 @@ class EventLoop {
       break;
     }
     if (burst > 0) {
-      metrics_->bytes_read.increment(static_cast<long long>(burst));
+      metrics_.bytes_read.increment(static_cast<long long>(burst));
       const std::uint64_t dur = ns_since(t_read);
-      metrics_->read_ns.record(dur);
+      metrics_.read_ns.record(dur);
       if (sampled) {
         trace::EventArgs args;
         args.batch = conn.id;
@@ -423,20 +436,20 @@ class EventLoop {
     int frames = 0;
     bool ok = true;
     while (conn.stalled == nullptr) {
-      Slot& slot = conn.next_slot();
+      Slot& slot = conn.next_slot(doorbell_);
       const auto result = conn.decoder.next(slot.frame, response);
       if (result == FrameDecoder::Result::NeedMore) break;
       if (result == FrameDecoder::Result::Error) {
-        metrics_->decode_errors.increment();
+        metrics_.decode_errors.increment();
         conn.close_requested = true;
         ok = false;
         break;
       }
-      metrics_->frames_in.increment();
+      metrics_.frames_in.increment();
       ++frames;
       if (conn.decoder.type() != FrameType::Request) {
         // A response frame sent *to* the server is protocol misuse.
-        metrics_->frames_errored.increment();
+        metrics_.frames_errored.increment();
         conn.close_requested = true;
         ok = false;
         break;
@@ -446,7 +459,7 @@ class EventLoop {
     }
     if (frames > 0) {
       const std::uint64_t dur = ns_since(t_decode);
-      metrics_->decode_ns.record(dur);
+      metrics_.decode_ns.record(dur);
       if (sampled) {
         trace::EventArgs args;
         args.batch = conn.id;
@@ -497,16 +510,15 @@ class EventLoop {
         (slot.frame.flags & kFlagTraceSampled) != 0 && trace::enabled();
     slot.wire_sampled = wire_sampled;
     slot.t0 = std::chrono::steady_clock::now();
-    slot.conn = conn.shared_from_this();
     Slot* const target = &slot;
     const auto callback = [target](service::Completion completion) {
-      complete_request(*target, std::move(completion));
+      target->completion = std::move(completion);
+      target->doorbell.hand_back(*target);
     };
     // One pointer: std::function keeps it in place, so no frame
     // allocates its callback here and frees it on a dispatcher.
     static_assert(sizeof(callback) == sizeof(Slot*) &&
                   std::is_trivially_copyable_v<decltype(callback)>);
-    conn.inflight.fetch_add(1, std::memory_order_acq_rel);
     bool accepted = false;
     try {
       accepted = service_.try_submit_callback(
@@ -514,17 +526,12 @@ class EventLoop {
     } catch (const std::exception&) {
       // Service closed under us (teardown race): answer Error rather
       // than leaving the client hanging.
-      slot.conn.reset();
-      conn.inflight.fetch_sub(1, std::memory_order_acq_rel);
       enqueue_status(conn, rid, Status::Error, width_);
       conn.free_slots.push_back(&slot);
       return true;  // consumed (never retried)
     }
-    if (!accepted) {
-      slot.conn.reset();
-      conn.inflight.fetch_sub(1, std::memory_order_acq_rel);
-      return false;
-    }
+    if (!accepted) return false;
+    ++conn.inflight;
     if (wire_sampled || (trace::enabled() && trace::sample())) {
       trace::EventArgs args;
       args.batch = conn.id;
@@ -538,10 +545,42 @@ class EventLoop {
     return true;
   }
 
+  /// Encode a returned slot's response into its connection's output
+  /// buffer, and put the sum and the second operand back in its frame.
+  void encode_completion(Slot& slot) REQUIRES(loop_role_) {
+    service::Completion& done = slot.completion;
+    ResponseFrame response;
+    response.id = slot.frame.id;
+    response.status = Status::Ok;
+    response.flags = static_cast<std::uint8_t>(
+        (done.flagged ? kFlagRecovered : 0) |
+        (done.speculative_wrong ? kFlagWrong : 0) |
+        (slot.wire_sampled ? kFlagTraceSampled : 0));
+    response.width = slot.frame.width;
+    response.window = window_;
+    response.latency_ticks = static_cast<std::uint64_t>(done.latency_cycles);
+    response.sum = std::move(done.sum);
+    encode_response(response, slot.conn.outbuf);
+    slot.frame.a = std::move(response.sum);
+    slot.frame.b = std::move(done.b);
+    const std::uint64_t server_ns = ns_since(slot.t0);
+    metrics_.server_ns.record(server_ns);
+    if (slot.wire_sampled && trace::enabled()) {
+      trace::EventArgs args;
+      args.batch = slot.conn.id;
+      args.k = window_;
+      args.er = done.flagged ? 1 : 0;
+      args.req = slot.frame.id;
+      args.has_req = true;
+      trace::emit_span(trace::EventName::kNetServe,
+                       trace::to_session_ns(slot.t0), server_ns, args);
+    }
+  }
+
   /// Loop-thread reply without a sum — Status::Error (counted in
   /// net.frames_errored) or Status::Rejected (net.frames_rejected).
-  /// Same pending buffer as the completion callbacks, so byte ordering
-  /// on the wire is a single append order.
+  /// Same output buffer as the completions, so byte ordering on the
+  /// wire is a single append order.
   void enqueue_status(Connection& conn, std::uint64_t id, Status status,
                       int width) REQUIRES(loop_role_) {
     ResponseFrame response;
@@ -549,30 +588,15 @@ class EventLoop {
     response.status = status;
     response.width = width;
     response.window = window_;
-    (status == Status::Rejected ? metrics_->frames_rejected
-                                : metrics_->frames_errored)
+    (status == Status::Rejected ? metrics_.frames_rejected
+                                : metrics_.frames_errored)
         .increment();
-    {
-      util::LockGuard lock(conn.pending_mutex);
-      encode_response(response, conn.pending);
-    }
-    metrics_->frames_out.increment();
+    encode_response(response, conn.outbuf);
+    metrics_.frames_out.increment();
     flush_writes(conn);
   }
 
   void flush_writes(Connection& conn) REQUIRES(loop_role_) {
-    if (conn.fd < 0) return;
-    {
-      util::LockGuard lock(conn.pending_mutex);
-      if (!conn.pending.empty()) {
-        conn.outbuf.insert(conn.outbuf.end(), conn.pending.begin(),
-                           conn.pending.end());
-        conn.pending.clear();
-      }
-      conn.free_slots.insert(conn.free_slots.end(), conn.returned.begin(),
-                             conn.returned.end());
-      conn.returned.clear();
-    }
     if (conn.close_requested) {
       conn.outbuf.clear();
       conn.out_off = 0;
@@ -600,9 +624,9 @@ class EventLoop {
       break;
     }
     if (wrote > 0) {
-      metrics_->bytes_written.increment(static_cast<long long>(wrote));
+      metrics_.bytes_written.increment(static_cast<long long>(wrote));
       const std::uint64_t dur = ns_since(t_write);
-      metrics_->write_ns.record(dur);
+      metrics_.write_ns.record(dur);
       if (sampled) {
         trace::EventArgs args;
         args.batch = conn.id;
@@ -617,7 +641,7 @@ class EventLoop {
                config_.max_write_buffer) {
       // The peer is not reading its responses; cut it loose before it
       // costs unbounded memory.
-      metrics_->slow_client_closes.increment();
+      metrics_.slow_client_closes.increment();
       conn.close_requested = true;
     }
   }
@@ -632,16 +656,16 @@ class EventLoop {
         stalled_.erase(fd);
         continue;
       }
-      auto conn = it->second;
-      if (conn->stalled == nullptr || !try_submit(*conn, *conn->stalled)) {
+      Connection& conn = *it->second;
+      if (conn.stalled == nullptr || !try_submit(conn, *conn.stalled)) {
         continue;
       }
-      conn->stalled = nullptr;
+      conn.stalled = nullptr;
       stalled_.erase(fd);
       // The parked frame blocked both the decoder and the socket;
       // catch both up now.
-      if (process_buffered(*conn)) handle_readable(*conn, chunk);
-      maybe_close(*conn);
+      if (process_buffered(conn)) handle_readable(conn, chunk);
+      maybe_close(conn);
     }
   }
 
@@ -654,64 +678,54 @@ class EventLoop {
     // direction.  The deadline force-closes whatever never quiesces.
     const bool expired =
         now_ms() >= drain_deadline_ms_.load(std::memory_order_relaxed);
-    auto snapshot = std::vector<std::shared_ptr<Connection>>();
+    auto snapshot = std::vector<Connection*>();
     snapshot.reserve(conns_.size());
-    for (const auto& [fd, conn] : conns_) snapshot.push_back(conn);
-    for (const auto& conn : snapshot) {
+    for (const auto& [fd, conn] : conns_) snapshot.push_back(conn.get());
+    for (Connection* const conn : snapshot) {
       handle_readable(*conn, chunk);  // pick up straggler bytes / EOF
       if (expired) conn->close_requested = true;
       flush_writes(*conn);
       if (!conn->close_requested && !conn->read_done &&
-          conn->stalled == nullptr &&
-          conn->inflight.load(std::memory_order_acquire) == 0 &&
+          conn->stalled == nullptr && conn->inflight == 0 &&
           conn->decoder.buffered() == 0 &&
-          conn->out_off >= conn->outbuf.size() &&
-          conn->pending_bytes() == 0) {
+          conn->out_off >= conn->outbuf.size()) {
         conn->read_done = true;  // quiet: treat as finished
       }
       maybe_close(*conn);
     }
   }
 
+  /// Destroys the connection once it is finished or broken, but never
+  /// while one of its slots is inside the service: the slot must come
+  /// back through the doorbell first.
   void maybe_close(Connection& conn) REQUIRES(loop_role_) {
-    if (conn.fd < 0) return;
-    const bool no_inflight =
-        conn.inflight.load(std::memory_order_acquire) == 0;
-    if (conn.close_requested) {
-      if (no_inflight) destroy(conn);
-      return;
-    }
-    if (conn.read_done && conn.stalled == nullptr && no_inflight &&
-        conn.out_off >= conn.outbuf.size() && conn.pending_bytes() == 0) {
+    if (conn.inflight > 0) return;
+    if (conn.close_requested ||
+        (conn.read_done && conn.stalled == nullptr &&
+         conn.out_off >= conn.outbuf.size())) {
       destroy(conn);
     }
   }
 
   void destroy(Connection& conn) REQUIRES(loop_role_) {
-    if (conn.fd < 0) return;
-    if (conn.in_epoll) {
-      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn.fd, nullptr);
-      active_.fetch_sub(1, std::memory_order_relaxed);
-      metrics_->connections_active.add(-1);
-      metrics_->connections_closed.increment();
-      if (trace::enabled()) {
-        trace::EventArgs args;
-        args.batch = conn.id;
-        trace::emit_instant(trace::EventName::kNetClose, args);
-      }
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn.fd, nullptr);
+    active_.fetch_sub(1, std::memory_order_relaxed);
+    metrics_.connections_active.add(-1);
+    metrics_.connections_closed.increment();
+    if (trace::enabled()) {
+      trace::EventArgs args;
+      args.batch = conn.id;
+      trace::emit_instant(trace::EventName::kNetClose, args);
     }
-    ::close(conn.fd);
     const int fd = conn.fd;
-    conn.fd = -1;
-    conn.in_epoll = false;
     stalled_.erase(fd);
-    conns_.erase(fd);  // may free `conn`'s last loop-side reference
+    conns_.erase(fd);  // frees `conn`, whose destructor closes the socket
   }
 
   const ServerConfig config_;
   service::AdderService& service_;
-  std::shared_ptr<Metrics> metrics_;
-  std::shared_ptr<ConnNotifier> notifier_;
+  Metrics& metrics_;
+  Doorbell doorbell_;
   const int width_;
   const int window_;
   const bool reject_;
@@ -722,9 +736,14 @@ class EventLoop {
   std::atomic<long long> active_{0};
   // Loop-thread-only state, guarded by the role capability above.
   LoopRole loop_role_;
-  std::unordered_map<int, std::shared_ptr<Connection>> conns_
+  std::unordered_map<int, std::unique_ptr<Connection>> conns_
       GUARDED_BY(loop_role_);
   std::set<int> stalled_ GUARDED_BY(loop_role_);
+  /// The doorbell's lists as of the last take, and the connections
+  /// that wake-up gave responses to; reused, so they keep capacity.
+  std::vector<std::unique_ptr<Connection>> adopted_ GUARDED_BY(loop_role_);
+  std::vector<Slot*> returned_ GUARDED_BY(loop_role_);
+  std::vector<Connection*> touched_ GUARDED_BY(loop_role_);
 };
 
 }  // namespace detail
@@ -742,13 +761,13 @@ Server::Server(const ServerConfig& config, service::AdderService& service)
         "net: the backing AdderService must run workers >= 1 (pump mode "
         "has no consumer; every connection would stall)");
   }
-  metrics_ = std::make_shared<detail::Metrics>(service_.registry());
+  metrics_ = std::make_unique<detail::Metrics>(service_.registry());
   listen_fd_ = detail::listen_tcp("net", config_.host, config_.port,
                                   config_.listen_backlog, port_);
   loops_.reserve(static_cast<std::size_t>(config_.event_threads));
   for (int i = 0; i < config_.event_threads; ++i) {
     loops_.push_back(
-        std::make_unique<detail::EventLoop>(config_, service_, metrics_));
+        std::make_unique<detail::EventLoop>(config_, service_, *metrics_));
   }
   acceptor_ = std::thread([this] { acceptor_loop(); });
 }
@@ -773,7 +792,7 @@ void Server::acceptor_loop() {
     if (fd < 0) return false;
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_shared<detail::Connection>();
+    auto conn = std::make_unique<detail::Connection>();
     conn->fd = fd;
     conn->id = next_conn_.fetch_add(1, std::memory_order_relaxed);
     conn->decoder = FrameDecoder(config_.decoder);

@@ -5,14 +5,18 @@
 //
 // Thread model: ONE acceptor thread (poll on the listen socket, so
 // shutdown never hangs in accept) plus N event-loop threads.  Each
-// accepted connection is pinned to one loop round-robin; all of its
-// socket I/O, decoding, and epoll bookkeeping happen on that loop
-// thread.  Completions arrive on the service's dispatcher threads,
-// flagged or not: the completion callback encodes the response into
-// the connection's pending buffer and wakes the owning loop through an
-// eventfd — the loop does the actual write.  Nothing in the request
-// path ever blocks an event loop: submission into the service uses
-// try-semantics only (AdderService::try_submit_callback).
+// accepted connection is pinned to one loop round-robin, and that loop
+// is the only thread that touches it: socket I/O, decoding, request
+// slots, response encoding and epoll bookkeeping.  Completions arrive
+// on the service's dispatcher threads, flagged or not: the completion
+// callback parks the result in the request's slot and hands the slot
+// back to the owning loop's doorbell (a mutex-guarded list plus an
+// eventfd).  The loop encodes every returned response, then writes
+// each connection they touched once.  A connection is destroyed only
+// when none of its requests is inside the service, so no callback ever
+// outlives what it touches.  Nothing in the request path ever blocks an
+// event loop: submission into the service uses try-semantics only
+// (AdderService::try_submit_callback).
 //
 // Backpressure maps the service's overflow policy onto the socket:
 //
@@ -130,7 +134,8 @@ class Server {
 
   ServerConfig config_;
   service::AdderService& service_;
-  std::shared_ptr<detail::Metrics> metrics_;
+  /// Declared before loops_, so it outlives them: only loops record.
+  std::unique_ptr<detail::Metrics> metrics_;
   std::vector<std::unique_ptr<detail::EventLoop>> loops_;
   std::thread acceptor_;
   int listen_fd_ = -1;

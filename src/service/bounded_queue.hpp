@@ -3,12 +3,12 @@
 //
 // Any number of producers push requests; any number of dispatcher
 // workers pop them *in batches* so one queue transaction amortizes over
-// up to `max_batch` requests (by default the engine's SIMD lane count,
-// 64 to 512).  The bound is the backpressure mechanism: when the queue
-// is full, `push` without `wait` takes only what fits and hands the
-// rest back (reject policy, event loops), and `push` with `wait` blocks
-// for space (block policy), so overload degrades into rejections or
-// producer throttling instead of unbounded memory growth.
+// up to `max_batch` requests (256 by default).  The bound is the
+// backpressure mechanism: when the queue is full, `push` without `wait`
+// takes only what fits and hands the rest back (reject policy, event
+// loops), and `push` with `wait` blocks for space (block policy), so
+// overload degrades into rejections or producer throttling instead of
+// unbounded memory growth.
 //
 // The queue has exactly one push and one pop, the two the service
 // calls.  `pop_batch` waits for the first item for up to its timeout

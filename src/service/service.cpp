@@ -12,7 +12,6 @@
 #endif
 
 #include "core/aca.hpp"
-#include "sim/isa.hpp"
 #include "trace/drift.hpp"
 #include "trace/postmortem.hpp"
 #include "trace/trace.hpp"
@@ -49,10 +48,7 @@ ServiceConfig validated(ServiceConfig config) {
     const int per_shard = std::max(1, config.workers / config.shards);
     config.workers = per_shard * config.shards;
   }
-  // 0 = auto: pop up to the SIMD lane width this process dispatches on.
-  const int lanes = sim::active_lanes();
-  config.max_batch =
-      config.max_batch == 0 ? lanes : std::clamp(config.max_batch, 1, lanes);
+  if (config.max_batch == 0) config.max_batch = kDefaultMaxBatch;
   return config;
 }
 
@@ -386,7 +382,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
   // (with Block producers perhaps waiting for space), never a pause.
   const std::size_t full_pop = std::min(max_batch, config_.queue_capacity);
   std::vector<Request> batch;
-  batch.reserve(max_batch);
+  batch.reserve(full_pop);
   DispatchScratch scratch;
   tighten_timer_slack();
   // Without stealing, block on the own queue until work or the close.

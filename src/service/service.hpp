@@ -112,6 +112,9 @@ enum class StealPolicy {
   Neighbor,  ///< idle workers drain shard (i+1) % shards opportunistically
 };
 
+/// What `ServiceConfig::max_batch = 0` means, on every ISA tier.
+inline constexpr int kDefaultMaxBatch = 256;
+
 struct ServiceConfig {
   /// width / window / recovery_cycles of the modeled VLSA datapath.
   sim::PipelineConfig pipeline;
@@ -139,19 +142,17 @@ struct ServiceConfig {
   /// hardware_concurrency).  Linux-only; a no-op elsewhere and off by
   /// default — pinning helps dedicated hosts and hurts shared ones.
   bool pin_threads = false;
-  /// Most requests one dispatcher pop takes, in
-  /// [1, sim::active_lanes()].  0 (the default) takes up to the
-  /// detected SIMD lane width (64 scalar, 256 AVX2, 512 AVX-512 — or
-  /// whatever VLSA_FORCE_ISA pins).  1 gives the no-batching baseline
-  /// the throughput bench compares against.  A pop never waits for a
-  /// batch to fill: it takes what the queue holds, up to this bound.
-  /// Only after a pop that took more than one request yet fewer than
-  /// this bound (and than `queue_capacity`) does a worker sleep for
-  /// 20 µs before the next pop, so batches grow under load while a lone
-  /// request, or a backlog, goes straight through.  Each
-  /// request is evaluated on its own, so the bound sets only how much
-  /// one pop, one modeled cycle and one round of telemetry cover, not
-  /// the cost of an evaluation.
+  /// Most requests one dispatcher pop takes.  0 (the default) means
+  /// kDefaultMaxBatch; any positive value is used as given.  1 gives
+  /// the no-batching baseline the throughput bench compares against.
+  /// A pop never waits for a batch to fill: it takes what the queue
+  /// holds, up to this bound.  Only after a pop that took more than one
+  /// request yet fewer than this bound (and than `queue_capacity`) does
+  /// a worker sleep for 20 µs before the next pop, so batches grow
+  /// under load while a lone request, or a backlog, goes straight
+  /// through.  Each request is evaluated in its own limbs, on every ISA
+  /// tier, so the bound sets only how much one pop, one modeled cycle
+  /// and one round of telemetry cover, not the cost of an evaluation.
   int max_batch = 0;
   /// Submission queue bound, PER SHARD — the backpressure knob.
   std::size_t queue_capacity = 1024;

@@ -82,8 +82,8 @@ Isa best_isa() {
   // lane-width section (width 1024, k = 23, one thread) reads medians
   // of 20.1M trials/s at 256 AVX2 lanes and 20.8M at 512 AVX-512 lanes
   // over six runs each (docs/benchmarks.md).  Switching the default
-  // would change every default Monte-Carlo RNG stream and the service's
-  // automatic max_batch, so it is a change of its own.
+  // would change every default Monte-Carlo RNG stream, so it is a
+  // change of its own.  The service does not read the tier.
   // VLSA_FORCE_ISA=avx512 (active_isa) is the explicit opt-in.
   if (isa_supported(Isa::Avx2)) return Isa::Avx2;
   if (isa_supported(Isa::Avx512)) return Isa::Avx512;

@@ -55,7 +55,7 @@ enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 /// on an unknown name and std::runtime_error on an unsupported one.
 [[nodiscard]] Isa active_isa();
 
-/// isa_lanes(active_isa()) — the batch width the service packs to.
+/// isa_lanes(active_isa()) — Monte-Carlo's default lane count.
 [[nodiscard]] int active_lanes();
 
 /// Parse a (case-insensitive) ISA name; nullopt if unknown.

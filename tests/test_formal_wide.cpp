@@ -1,4 +1,4 @@
-// Wide-width formal proofs (`slow` ctest label): the 256/512-bit
+// Wide-width formal proofs (`slow` ctest label): the 256- to 1024-bit
 // obligations that certify the paper's claims at sizes the random
 // checker cannot meaningfully cover (2^513 input pairs).  The fast
 // signal lives in test_formal.cpp; this file is the heavyweight sweep
@@ -31,8 +31,10 @@ TEST(FormalWide, ExactAddersPairwiseAt256) {
   }
 }
 
-TEST(FormalWide, AcaConditionallyExactAt256And512) {
-  for (const auto& [width, k] : {std::pair{256, 8}, std::pair{512, 9}}) {
+TEST(FormalWide, AcaConditionallyExactAt256To1024) {
+  // 1024/23 is the configuration the service runs.
+  for (const auto& [width, k] :
+       {std::pair{256, 8}, std::pair{512, 9}, std::pair{1024, 23}}) {
     const auto exact =
         adders::build_adder(adders::AdderKind::RippleCarry, width);
     const auto aca = core::build_aca(width, k, true);
@@ -49,23 +51,31 @@ TEST(FormalWide, SpeculativeCarryIdentityAt256And512) {
   // c_spec = c_exact & ~R_k, the batch engine's formula, against the
   // shared-strip ACA on every output, with no assumptions, for R_k by
   // AND-doubling (the row-major kernel) and by block prefix/suffix ANDs
-  // (the sliced kernel; 512 = 56*9 + 8 ends in a partial block).
-  for (const auto how : {testing::RunMaskBuild::Doubling,
-                         testing::RunMaskBuild::BlockWindow}) {
-    for (const auto& [width, k] : {std::pair{256, 8}, std::pair{512, 9}}) {
-      const auto reference = core::build_aca(width, k, true);
-      const auto identity = testing::build_run_mask_aca(width, k, how);
-      const auto result = check_equivalence_formal(identity, reference.nl);
-      EXPECT_EQ(result.verdict, FormalVerdict::Proven)
-          << "width " << width << " k " << k << " build "
-          << static_cast<int>(how) << ": " << result.summary();
-      EXPECT_EQ(result.outputs_compared, width + 2);
-    }
+  // (the sliced kernel; 512 = 56*9 + 8 ends in a partial block).  The
+  // doubling build is also proved at 1024/23: that is the R_k the
+  // service's row kernel evaluates.
+  struct Case {
+    testing::RunMaskBuild how;
+    int width, k;
+  };
+  for (const Case c : {Case{testing::RunMaskBuild::Doubling, 256, 8},
+                       Case{testing::RunMaskBuild::Doubling, 512, 9},
+                       Case{testing::RunMaskBuild::Doubling, 1024, 23},
+                       Case{testing::RunMaskBuild::BlockWindow, 256, 8},
+                       Case{testing::RunMaskBuild::BlockWindow, 512, 9}}) {
+    const auto reference = core::build_aca(c.width, c.k, true);
+    const auto identity = testing::build_run_mask_aca(c.width, c.k, c.how);
+    const auto result = check_equivalence_formal(identity, reference.nl);
+    EXPECT_EQ(result.verdict, FormalVerdict::Proven)
+        << "width " << c.width << " k " << c.k << " build "
+        << static_cast<int>(c.how) << ": " << result.summary();
+    EXPECT_EQ(result.outputs_compared, c.width + 2);
   }
 }
 
-TEST(FormalWide, VlsaRecoveryExactAt256And512) {
-  for (const auto& [width, k] : {std::pair{256, 8}, std::pair{512, 9}}) {
+TEST(FormalWide, VlsaRecoveryExactAt256To1024) {
+  for (const auto& [width, k] :
+       {std::pair{256, 8}, std::pair{512, 9}, std::pair{1024, 23}}) {
     const auto exact =
         adders::build_adder(adders::AdderKind::RippleCarry, width);
     const auto vlsa = core::build_vlsa(width, k);

@@ -16,10 +16,12 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -30,7 +32,6 @@
 #include "core/aca.hpp"
 #include "net/admin.hpp"
 #include "net/client.hpp"
-#include "net/notifier.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "service/service.hpp"
@@ -912,37 +913,84 @@ TEST(NetLoopback, SendToAServerThatIsGoneThrowsConnectionError) {
   EXPECT_TRUE(threw);
 }
 
-TEST(NetNotifier, PushAfterFinalTakeFreesTheConnection) {
-  // The drain order that leaked a Connection: a completion callback
-  // drops `inflight`, the loop sees the connection quiet, destroys it,
-  // makes its final take and exits, and only then does the callback
-  // push.  A connection holds its notifier, so a push that parked it
-  // would close a shared_ptr cycle.  Forced here step by step.
-  struct FakeConnection {
-    std::shared_ptr<net::detail::Notifier<FakeConnection>> notifier;
+TEST(NetLoopback, DrainWaitsForRequestsTheServiceStillHolds) {
+  // Shutdown begins while every request of a half-closed client is
+  // still inside the service.  The loop may destroy the connection only
+  // after the dispatcher has handed back each of its request slots: a
+  // connection closed because it read EOF and owed nothing yet would
+  // free slots the dispatcher still writes (ASan runs this under the
+  // net label).
+  const int width = 1024, window = 23;
+  ServiceConfig config = service_config(width, window, OverflowPolicy::Block);
+  config.shards = 1;
+  config.workers = 1;
+  AdderService service(config);
+  net::Server server(net::ServerConfig{}, service);
+
+  // Hold the only dispatcher inside a completion callback until the
+  // gate opens.
+  std::promise<void> gate;
+  const std::shared_future<void> opened = gate.get_future().share();
+  std::atomic<bool> held{false};
+  ASSERT_TRUE(service.try_submit_callback(
+      BitVec(width), BitVec(width), [opened, &held](service::Completion) {
+        held.store(true);
+        opened.wait();
+      }));
+  while (!held.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  constexpr int kRequests = 600;
+  net::Client client("127.0.0.1", server.port());
+  client.cork(true);
+  util::Rng rng(0xd7a1);
+  std::vector<BitVec> sums;
+  for (int i = 0; i < kRequests; ++i) {
+    const BitVec a = random_vec(rng, width);
+    const BitVec b = random_vec(rng, width);
+    sums.push_back(a + b);
+    client.send(a, b);
+  }
+  client.finish_sending();
+  const auto frames_in = [&service] {
+    for (const auto& [key, value] : service.registry().snapshot().counters) {
+      if (key == "net.frames_in") return value;
+    }
+    return 0LL;
   };
-  using Notifier = net::detail::Notifier<FakeConnection>;
-  auto loop_ref = std::make_shared<Notifier>();
-  auto conn = std::make_shared<FakeConnection>();
-  conn->notifier = loop_ref;
-  const std::weak_ptr<FakeConnection> conn_alive = conn;
-  const std::weak_ptr<Notifier> notifier_alive = loop_ref;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (frames_in() < kRequests &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // No ASSERT until the gate opens: returning early would leave the
+  // dispatcher held and the server's drain waiting for it forever.
+  EXPECT_EQ(frames_in(), kRequests);
 
-  // While the loop runs, a push parks the connection for take().
-  conn->notifier->push(conn);
-  conn->notifier->push(nullptr);
-  EXPECT_EQ(loop_ref->take().size(), 2u);
-
-  // The loop exits: final close-and-take, then its reference goes.
-  EXPECT_TRUE(loop_ref->close_and_take().empty());
-  loop_ref.reset();
-
-  // The late completion push, then the callback releases its copy.
-  conn->notifier->push(conn);
-  conn->notifier->push(nullptr);
-  conn.reset();
-  EXPECT_TRUE(conn_alive.expired());
-  EXPECT_TRUE(notifier_alive.expired());
+  std::thread stopper([&server] { server.shutdown(); });
+  while (!server.draining()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.set_value();
+  int ok = 0;
+  try {
+    while (client.outstanding() > 0) {
+      const ResponseFrame response = client.recv();
+      if (response.status != Status::Ok || response.id < 1 ||
+          response.id > sums.size() ||
+          response.sum != sums[response.id - 1]) {
+        ADD_FAILURE() << "bad answer to request " << response.id;
+        break;
+      }
+      ++ok;
+    }
+  } catch (const net::ConnectionError&) {
+    ADD_FAILURE() << "connection closed with " << client.outstanding()
+                  << " responses undelivered (answered " << ok << ")";
+  }
+  stopper.join();
+  EXPECT_EQ(ok, kRequests);
+  EXPECT_EQ(server.active_connections(), 0);
 }
 
 TEST(NetLoopback, ServerRefusesPumpModeService) {

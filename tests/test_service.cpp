@@ -18,7 +18,6 @@
 #include "core/aca.hpp"
 #include "service/bounded_queue.hpp"
 #include "service/service.hpp"
-#include "sim/isa.hpp"
 #include "telemetry/registry.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -85,16 +84,27 @@ TEST(ServiceCorrectness, PumpModeMatchesScalarModel) {
             500);
 }
 
+TEST(ServiceCorrectness, MaxBatchIsTheDefaultOrTheGivenValue) {
+  // 0 means kDefaultMaxBatch and a positive value is used as given, on
+  // every ISA tier: each request is evaluated in its own limbs, so the
+  // SIMD lane count means nothing to the service.
+  auto config = pump_config(64, 6);
+  EXPECT_EQ(AdderService(config).config().max_batch,
+            service::kDefaultMaxBatch);
+  for (const int given : {1, 5, 1000}) {
+    config.max_batch = given;
+    EXPECT_EQ(AdderService(config).config().max_batch, given);
+  }
+}
+
 TEST(ServiceCorrectness, WideBatchDispatchMatchesScalarModel) {
-  // max_batch = the detected SIMD lane width (the default): a flush
-  // after >512 queued submissions makes every dispatch pop a batch
-  // wider than 64 requests, driving the eval pass and the completion
-  // loop over full batches end to end.  Window 6 at width 64 flags
-  // often enough that the recovery lane runs inside wide batches too.
+  // max_batch = 0, the default (256): a flush after 1200 queued
+  // submissions makes every dispatch pop a batch of up to 256 requests,
+  // driving the eval pass and the completion loop over full batches end
+  // to end.  Window 6 at width 64 flags often enough that the recovery
+  // lane runs inside wide batches too.
   const int width = 64, window = 6;
-  auto config = pump_config(width, window);
-  config.max_batch = sim::active_lanes();
-  AdderService service(config);
+  AdderService service(pump_config(width, window));
   workloads::OperandStream stream(workloads::Distribution::Uniform, width,
                                   0x51d5);
   struct Expected {
