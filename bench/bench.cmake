@@ -3,19 +3,6 @@
 # contains only the runnable binaries and `for b in build/bench/*` works.
 set(VLSA_BENCH_DIR ${CMAKE_BINARY_DIR}/bench)
 
-# Provenance for the machine-readable sidecars: the commit the binary
-# was configured from, so BENCH_*.json trajectories are comparable
-# across PRs (bench_common.hpp writes it via write_provenance).
-execute_process(
-  COMMAND git rev-parse --short HEAD
-  WORKING_DIRECTORY ${PROJECT_SOURCE_DIR}
-  OUTPUT_VARIABLE VLSA_GIT_SHA
-  OUTPUT_STRIP_TRAILING_WHITESPACE
-  ERROR_QUIET)
-if(NOT VLSA_GIT_SHA)
-  set(VLSA_GIT_SHA "unknown")
-endif()
-
 function(vlsa_add_bench name)
   add_executable(${name} ${PROJECT_SOURCE_DIR}/bench/${name}.cpp)
   target_link_libraries(${name} PRIVATE
@@ -23,8 +10,11 @@ function(vlsa_add_bench name)
     vlsa_sim vlsa_workloads vlsa_crypto vlsa_multiplier vlsa_multiop vlsa_approx vlsa_cpu
     vlsa_core vlsa_adders vlsa_netlist vlsa_analysis vlsa_util)
   target_include_directories(${name} PRIVATE ${PROJECT_SOURCE_DIR}/bench)
+  # Provenance for the machine-readable sidecars, so BENCH_*.json
+  # trajectories are comparable across PRs (bench_common.hpp writes it
+  # via write_provenance).
+  vlsa_use_git_sha(${name})
   target_compile_definitions(${name} PRIVATE
-    VLSA_GIT_SHA="${VLSA_GIT_SHA}"
     VLSA_BUILD_TYPE="${CMAKE_BUILD_TYPE}")
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${VLSA_BENCH_DIR})

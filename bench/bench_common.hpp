@@ -12,11 +12,10 @@
 #include "telemetry/registry.hpp"
 #include "util/json.hpp"
 
-// Set by bench.cmake at configure time (the commit the build tree was
-// configured from); "unknown" outside a git checkout.
-#ifndef VLSA_GIT_SHA
-#define VLSA_GIT_SHA "unknown"
-#endif
+// VLSA_GIT_SHA: the commit being built, rewritten on every build by
+// cmake/git_sha.cmake; "unknown" outside a git checkout.
+#include "vlsa_git_sha.hpp"
+
 #ifndef VLSA_BUILD_TYPE
 #define VLSA_BUILD_TYPE "unknown"
 #endif

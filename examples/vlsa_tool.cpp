@@ -23,8 +23,7 @@
 //                                                  arithmetic service
 //   vlsa_tool serve    <width> [k] --listen host:port [--workers W
 //                      --queue Q --policy block|reject --threads T]
-//                      [--shards N --route hash|rr --steal none|neighbor
-//                      --pin on|off]
+//                      [--shards N --route hash|rr]
 //                      [--admin host:port] [--drain-grace-ms N]
 //                      [obs flags]                 epoll TCP server speaking
 //                                                  the binary framing of
@@ -45,8 +44,7 @@
 //   vlsa_tool loadgen  <width> [k] [--rate R --dist D --arrival A
 //                      --requests N --workers W --batch B --queue Q
 //                      --policy block|reject --seed S --json PATH]
-//                      [--shards N --route hash|rr --steal none|neighbor
-//                      --pin on|off]
+//                      [--shards N --route hash|rr]
 //                      [obs flags]                 drive the service with
 //                                                  synthetic load, report
 //                                                  tail latencies
@@ -129,11 +127,11 @@
 #include "workloads/load_gen.hpp"
 #include "workloads/operand_stream.hpp"
 
-// Build provenance, set by examples/CMakeLists.txt (and bench.cmake for
-// the bench sidecars); "unknown" outside a configured build tree.
-#ifndef VLSA_GIT_SHA
-#define VLSA_GIT_SHA "unknown"
-#endif
+// Build provenance: VLSA_GIT_SHA is the commit being built, rewritten
+// on every build by cmake/git_sha.cmake ("unknown" outside a git
+// checkout); VLSA_BUILD_TYPE is set by examples/CMakeLists.txt.
+#include "vlsa_git_sha.hpp"
+
 #ifndef VLSA_BUILD_TYPE
 #define VLSA_BUILD_TYPE "unknown"
 #endif
@@ -506,23 +504,6 @@ bool parse_shard_flag(vlsa::service::ServiceConfig& config,
       throw std::invalid_argument("unknown route '" + value +
                                   "' (hash, rr)");
     }
-  } else if (flag == "--steal") {
-    if (value == "none") {
-      config.steal = vlsa::service::StealPolicy::None;
-    } else if (value == "neighbor") {
-      config.steal = vlsa::service::StealPolicy::Neighbor;
-    } else {
-      throw std::invalid_argument("unknown steal policy '" + value +
-                                  "' (none, neighbor)");
-    }
-  } else if (flag == "--pin") {
-    if (value == "on" || value == "1") {
-      config.pin_threads = true;
-    } else if (value == "off" || value == "0") {
-      config.pin_threads = false;
-    } else {
-      throw std::invalid_argument("--pin takes on|off");
-    }
   } else {
     return false;
   }
@@ -691,11 +672,6 @@ void wire_admin_endpoints(vlsa::net::AdminServer& admin_server,
         json.kv("route",
                 config.route == vlsa::service::RoutePolicy::Hash ? "hash"
                                                                  : "rr");
-        json.kv("steal",
-                config.steal == vlsa::service::StealPolicy::Neighbor
-                    ? "neighbor"
-                    : "none");
-        json.kv("pin_threads", config.pin_threads);
         json.kv("queue_capacity",
                 static_cast<unsigned long long>(config.queue_capacity));
         json.kv("overflow_policy",

@@ -12,7 +12,9 @@ Checks, in order:
      docs/benchmarks.md names every bench binary;
   5. every admin-plane endpoint `vlsa_tool serve --admin` registers
      (parsed from the handle() calls in examples/vlsa_tool.cpp) is
-     documented in docs/observability.md.
+     documented in docs/observability.md;
+  6. every backticked `Suite.Name` test citation in README.md and
+     docs/*.md names a TEST, TEST_F or TEST_P under tests/.
 
 Stdlib only; exits non-zero with one line per problem.
 """
@@ -42,6 +44,11 @@ REQUIRED_DOCS = [
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 FENCE_RE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+# A test citation: `Suite.Name`, both parts capitalized the way gtest
+# names are here (file names such as `BENCH_net.json` and member paths
+# such as `Completion.sum` do not match).
+TEST_CITE_RE = re.compile(r"`([A-Z]\w*)\.([A-Z]\w*)`")
+TEST_DEF_RE = re.compile(r"\bTEST(?:_F|_P)?\(\s*(\w+)\s*,\s*(\w+)\s*\)")
 
 
 def github_anchor(heading: str) -> str:
@@ -96,6 +103,17 @@ def admin_endpoints() -> set:
     return paths
 
 
+def defined_tests() -> set:
+    """Every "Suite.Name" a TEST, TEST_F or TEST_P under tests/
+    defines."""
+    names = set()
+    for path in (REPO / "tests").rglob("*"):
+        if path.suffix in (".cpp", ".hpp"):
+            for suite, name in TEST_DEF_RE.findall(path.read_text()):
+                names.add(f"{suite}.{name}")
+    return names
+
+
 def main() -> int:
     problems = []
 
@@ -105,6 +123,8 @@ def main() -> int:
 
     doc_files = [REPO / "README.md"] + sorted((REPO / "docs").glob("*.md"))
     subcommands = tool_subcommands()
+    tests = defined_tests()
+    citations = 0
 
     for doc in doc_files:
         text = doc.read_text()
@@ -131,6 +151,15 @@ def main() -> int:
                 problems.append(
                     f"{rel_doc}: unknown vlsa_tool subcommand '{cmd}' "
                     f"(binary implements: {', '.join(sorted(subcommands))})")
+
+        # A cited test must exist, so a deleted or renamed test cannot
+        # leave the docs pointing at coverage that is gone.
+        for suite, name in TEST_CITE_RE.findall(text):
+            citations += 1
+            if f"{suite}.{name}" not in tests:
+                problems.append(
+                    f"{rel_doc}: cites test {suite}.{name}, which no "
+                    "TEST, TEST_F or TEST_P under tests/ defines")
 
     arch = (REPO / "docs" / "architecture.md")
     if arch.is_file():
@@ -177,7 +206,8 @@ def main() -> int:
     if not problems:
         checked = len(doc_files)
         print(f"check_docs: OK ({checked} files, "
-              f"{len(subcommands)} vlsa_tool subcommands)")
+              f"{len(subcommands)} vlsa_tool subcommands, "
+              f"{citations} test citations)")
     return 1 if problems else 0
 
 

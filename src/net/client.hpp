@@ -6,9 +6,8 @@
 //   * Blocking RPC: `call(a, b)` sends one request and waits for its
 //     response.  Other responses arriving first (a dispatcher completes
 //     its batches in FIFO order, but requests served by different
-//     dispatchers — other shards, a second worker, a steal — can
-//     overtake each other) are stashed and handed out by later
-//     recv()/call()s.
+//     dispatchers — other shards, a second worker — can overtake each
+//     other) are stashed and handed out by later recv()/call()s.
 //   * Pipelined: `send(a, b)` frames one request, writes it (at once,
 //     or at the next flush point when corked — see cork()) and returns
 //     the request id; `recv()` blocks for the next response in arrival

@@ -11,15 +11,15 @@
 // unbounded memory growth.
 //
 // The queue has exactly one push and one pop, the two the service
-// calls.  `pop_batch` waits for the first item for up to its timeout
-// (`kForever`, a poll interval, or zero for a glance that never
-// sleeps), then takes whatever else is queued, up to `max`, and
-// returns at once: it never holds a partial batch open.  Batches still
-// fill under load, because requests queue while the dispatcher
-// evaluates the previous batch, and a lone request on an idle queue
-// goes straight through.  After `close()`, pushes fail, poppers drain
-// whatever remains, and then `pop_batch` reports `done` — the
-// worker-shutdown signal.
+// calls, and the pop mirrors the push.  `pop_batch` with `wait` blocks
+// for the first item (a dispatcher), without `wait` it never sleeps
+// (pump mode); either way it then takes whatever else is queued, up to
+// `max`, and returns at once: it never holds a partial batch open.
+// Batches still fill under load, because requests queue while the
+// dispatcher evaluates the previous batch, and a lone request on an
+// idle queue goes straight through.  After `close()`, pushes fail,
+// poppers drain whatever remains, and then a waiting `pop_batch`
+// returns 0 — the worker-shutdown signal.
 //
 // The items live in a ring: a vector with a head index and a count.  It
 // grows by doubling up to the capacity and never shrinks, pushes
@@ -44,7 +44,6 @@
 // (src/mc/, docs/model_checking.md).
 
 #include <algorithm>
-#include <chrono>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -65,11 +64,6 @@ struct DefaultSync {
 template <typename T, typename Sync = DefaultSync>
 class BoundedQueue {
  public:
-  /// `pop_batch` timeout that waits for an item or the close, however
-  /// long that takes.
-  static constexpr std::chrono::microseconds kForever =
-      std::chrono::microseconds::max();
-
   explicit BoundedQueue(std::size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -118,62 +112,33 @@ class BoundedQueue {
     return pushed;
   }
 
-  /// Result of a pop.  `done` is the worker-exit signal: it is true
-  /// only when the queue was closed AND empty, evaluated together under
-  /// the queue lock.  The obvious-looking alternative — return a
-  /// count, let the caller test `closed()` separately on timeout — has
-  /// a drain race: an item pushed between the timeout return and the
-  /// `closed()` check (close() fails *future* pushes, not in-flight
-  /// ones that already hold the lock) is seen by neither, and a worker
-  /// that exits on `closed()` strands it forever.  With N shard queues
-  /// draining concurrently during lame-duck the window is hit in
-  /// practice; the mc two-queue drain suite (tests/test_mc_suites.cpp)
-  /// pins the atomic evaluation with a replayable schedule.
-  struct PopResult {
+  /// Appends up to `max` items to `out` and returns how many it took.
+  /// With `wait` it blocks until an item is queued or the queue
+  /// closes, so it returns 0 only once the queue is closed and empty —
+  /// the worker-exit signal.  That is decided under the same lock that
+  /// serializes pushes, so no item can slip in between "nothing taken"
+  /// and "we are done"; a caller that instead tested `closed()` after
+  /// an empty pop could strand an item pushed in between.  Without
+  /// `wait` it takes what is queued and never sleeps.
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max, bool wait) {
     std::size_t taken = 0;
-    bool done = false;  ///< closed && empty, checked atomically
-  };
-
-  /// Appends up to `max` items to `out`.  Waits up to `timeout` for the
-  /// first item, then takes what is queued without waiting for more:
-  /// `kForever` returns only with items or once closed and drained, a
-  /// positive timeout may return `{0, false}` (retry or go steal), and
-  /// zero never sleeps.  Never returns done with items left.
-  PopResult pop_batch(std::vector<T>& out, std::size_t max,
-                      std::chrono::microseconds timeout) {
-    PopResult result;
     bool wake = false;
     {
       typename Sync::UniqueLock lock(mutex_);
-      // A zero timeout is a glance: it neither sleeps nor counts as a
-      // waiting consumer, so pushes skip its wakeup.
-      if (timeout > std::chrono::microseconds::zero()) {
-        const bool forever = timeout == kForever;
-        const auto deadline = forever ? std::chrono::steady_clock::time_point{}
-                                      : std::chrono::steady_clock::now() +
-                                            timeout;
+      // A pop that does not wait never counts as a waiting consumer,
+      // so pushes skip its wakeup.
+      if (wait) {
         ++waiting_consumers_;
         while (!closed_ && count_ == 0) {
-          // Untimed, so the model checker never grants a forever wait
-          // a timeout it could not have.
-          if (forever) {
-            not_empty_.wait(lock);
-          } else if (not_empty_.wait_until(lock, deadline) ==
-                     std::cv_status::timeout) {
-            break;
-          }
+          not_empty_.wait(lock);
         }
         --waiting_consumers_;
       }
-      result.taken = take_locked(out, max);
-      // The load-bearing line: closed-and-empty is decided under the
-      // same lock that serializes pushes, so no item can slip between
-      // "nothing taken" and "we are done".
-      result.done = closed_ && count_ == 0;
-      wake = result.taken > 0 && waiting_producers_ > 0;
+      taken = take_locked(out, max);
+      wake = taken > 0 && waiting_producers_ > 0;
     }
     if (wake) not_full_.notify_all();
-    return result;
+    return taken;
   }
 
   /// Fail all future pushes and wake every waiter; queued items remain

@@ -6,8 +6,6 @@
 #include <utility>
 
 #ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
 #include <sys/prctl.h>
 #endif
 
@@ -66,32 +64,6 @@ std::uint64_t mix64(std::uint64_t x) {
   return x;
 }
 
-/// Best-effort: pin `thread` to core (shard index mod hardware
-/// concurrency).  A refused affinity call (restricted cgroup mask) is
-/// ignored — pinning is a performance hint, never a correctness
-/// requirement.
-void pin_to_core(std::thread& thread, std::size_t shard_index) {
-#ifdef __linux__
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<unsigned>(shard_index) % cores, &set);
-  (void)pthread_setaffinity_np(thread.native_handle(), sizeof set, &set);
-#else
-  (void)thread;
-  (void)shard_index;
-#endif
-}
-
-/// How long a steal-enabled worker parks on its own empty queue before
-/// checking the neighbor's backlog.  Short enough that a skewed load is
-/// picked up promptly; long enough that balanced shards don't burn
-/// cycles polling each other.
-constexpr std::chrono::microseconds kStealPoll{200};
-
-/// Pop timeout of a glance: take what is queued, never sleep.
-constexpr std::chrono::microseconds kNoWait{0};
-
 /// How long a worker sleeps before its next pop after a pop that took
 /// more than one request but emptied the queue without filling a pop
 /// (see worker_loop's full_pop).  Then requests arrive faster than one
@@ -119,8 +91,7 @@ constexpr std::chrono::microseconds kCoalesce{20};
 /// Best-effort: make this thread's short sleeps end on time.  Linux
 /// rounds a sleep up by the thread's timer slack, 50 µs by default,
 /// which would stretch the kCoalesce pause to about 70 µs of idle
-/// worker.  It applies to every timed wait of the worker, so the
-/// kStealPoll parks end on time too.
+/// worker.
 void tighten_timer_slack() {
 #ifdef __linux__
   (void)prctl(PR_SET_TIMERSLACK, 1000UL, 0UL, 0UL, 0UL);  // ns
@@ -166,7 +137,6 @@ AdderService::AdderService(const ServiceConfig& config,
       shard.rejected = &registry_->counter("service.rejected" + suffix);
       shard.recovered = &registry_->counter("service.recovered" + suffix);
       shard.batches = &registry_->counter("service.batches" + suffix);
-      shard.stolen = &registry_->counter("service.stolen" + suffix);
       shard.queue_depth = &registry_->gauge("service.queue_depth" + suffix);
     }
   }
@@ -177,9 +147,6 @@ AdderService::AdderService(const ServiceConfig& config,
       shard.workers.reserve(static_cast<std::size_t>(per_shard));
       for (int j = 0; j < per_shard; ++j) {
         shard.workers.emplace_back([this, i] { worker_loop(i); });
-      }
-      if (config_.pin_threads) {
-        for (auto& worker : shard.workers) pin_to_core(worker, i);
       }
     }
   }
@@ -385,40 +352,16 @@ void AdderService::worker_loop(std::size_t shard_index) {
   batch.reserve(full_pop);
   DispatchScratch scratch;
   tighten_timer_slack();
-  // Without stealing, block on the own queue until work or the close.
-  // With stealing, park there for at most kStealPoll, then try one
-  // non-blocking pop from the right-hand neighbor; right after a steal
-  // only glance at the own queue, so a refilling home queue preempts
-  // further stealing.  Exit only on the own queue's atomic
-  // closed-and-empty signal — checking closed() separately after a
-  // timeout is exactly the lost-item drain race the mc two-queue suite
-  // pins down (see BoundedQueue::PopResult).  After an own-queue pop
+  // Block on the own queue until work or the close; a waiting pop
+  // returns 0 only once the queue is closed and drained.  After a pop
   // that took more than one request but less than a full pop, sleep
-  // for kCoalesce first.
-  const bool steal =
-      config_.steal == StealPolicy::Neighbor && shards_.size() > 1;
-  Shard* const victim =
-      steal ? shards_[(shard_index + 1) % shards_.size()].get() : nullptr;
-  const auto park = steal ? kStealPoll : BoundedQueue<Request>::kForever;
-  bool stole = false;
+  // for kCoalesce before the next.
   for (;;) {
-    const auto own =
-        shard.queue.pop_batch(batch, max_batch, stole ? kNoWait : park);
-    stole = false;
-    if (own.taken > 0) {
-      dispatch(batch, scratch, shard, shard_index, false);
-    } else if (own.done) {
-      return;
-    } else if (victim != nullptr &&
-               victim->queue.pop_batch(batch, max_batch, kNoWait).taken > 0) {
-      // Stolen work runs on OUR engine and recovery lane, clocked by
-      // OUR vclock — provenance lands in service.stolen{shard=us},
-      // Completion::shard, and the trace shard id.
-      dispatch(batch, scratch, shard, shard_index, true);
-      stole = true;
-    }
+    const std::size_t taken = shard.queue.pop_batch(batch, max_batch, true);
+    if (taken == 0) return;
+    dispatch(batch, scratch, shard, shard_index);
     batch.clear();
-    if (own.taken > 1 && own.taken < full_pop) {
+    if (taken > 1 && taken < full_pop) {
       std::this_thread::sleep_for(kCoalesce);
     }
   }
@@ -426,7 +369,7 @@ void AdderService::worker_loop(std::size_t shard_index) {
 
 std::size_t AdderService::dispatch(std::vector<Request>& batch,
                                    DispatchScratch& scratch, Shard& shard,
-                                   std::size_t shard_index, bool stolen) {
+                                   std::size_t shard_index) {
   // Depth is sampled per batch, not per submission: the gauge is a
   // load indicator and must stay off the producers' hot path.
   const auto depth = static_cast<long long>(shard.queue.size());
@@ -488,9 +431,6 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
 
   batches_.increment();
   if (shard.batches != nullptr) shard.batches->increment();
-  if (stolen && shard.stolen != nullptr) {
-    shard.stolen->increment(static_cast<long long>(batch.size()));
-  }
   batch_occupancy_.record(batch.size());
 
   // Telemetry is aggregated over the batch: requests that arrived in
@@ -504,7 +444,6 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
     Request& request = batch[lane];
     Completion completion;
     completion.flagged = scratch.flags[lane].flagged;
-    completion.shard = static_cast<int>(shard_index);
     trace::EventArgs args;
     args.batch = batch_id;
     args.lane = static_cast<int>(lane);
@@ -521,9 +460,6 @@ std::size_t AdderService::dispatch(std::vector<Request>& batch,
       // ER clear: by soundness the one-cycle speculative answer is
       // this exact sum, which the eval pass left in `a`.
       completion.sum = std::move(request.a);
-      // Clamped at the 1-cycle floor: a STOLEN request was stamped
-      // against its home shard's clock but completes on the thief's,
-      // and the two clocks are unordered.
       completion.latency_cycles =
           std::max<long long>(1, round + 1 - request.arrival_cycle);
       if (sampled) trace::emit_instant(trace::EventName::kComplete, args);
@@ -621,9 +557,9 @@ std::size_t AdderService::pump() {
   for (std::size_t i = 0; i < n_shards; ++i) {
     const std::size_t idx = (pump_next_ + i) % n_shards;
     Shard& shard = *shards_[idx];
-    if (shard.queue.pop_batch(batch, max_batch, kNoWait).taken == 0) continue;
+    if (shard.queue.pop_batch(batch, max_batch, false) == 0) continue;
     pump_next_ = (idx + 1) % n_shards;
-    return dispatch(batch, pump_scratch_, shard, idx, false);
+    return dispatch(batch, pump_scratch_, shard, idx);
   }
   return 0;
 }
@@ -644,9 +580,9 @@ void AdderService::close() {
   closed_.store(true, std::memory_order_release);
   // Shutdown ordering across N shards (the lame-duck drain):
   //   1. close EVERY submission queue — no shard accepts new work;
-  //   2. join EVERY dispatcher — each drains its own queue to the
-  //      atomic closed-and-empty signal (a thief may also drain its
-  //      neighbor's leftovers, which only speeds this up).
+  //   2. join EVERY dispatcher — each drains its own queue until its
+  //      waiting pop returns 0 (closed and empty, decided under the
+  //      queue lock).
   for (auto& shard : shards_) shard->queue.close();
   if (config_.workers == 0) {
     while (pump() > 0) {

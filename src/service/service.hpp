@@ -38,9 +38,8 @@
 // it has one push and one pop:
 // admission pushes each shard's share of a call in one `push`, waiting
 // for space only under Block in worker mode, and every dispatcher runs
-// one loop over `pop_batch` — blocking on its own queue, or, with
-// stealing, parking there for a bounded poll and then taking one
-// non-blocking pop from its neighbor.  pump() takes non-blocking pops.
+// one loop over a waiting `pop_batch` on its own shard's queue.  pump()
+// takes pops that do not wait.
 //
 // Determinism: with `workers == 0` nothing runs concurrently — the
 // caller drives dispatch with `pump()` (the destructor pumps any
@@ -54,9 +53,8 @@
 // the service becomes N independent {queue, dispatchers, clocks}
 // units — the single global MPMC queue stops being the serialization
 // point.  Submissions route by operand hash or round-robin
-// (`RoutePolicy`); idle workers can steal a neighbor shard's backlog
-// (`StealPolicy::Neighbor`); workers optionally pin to cores.  Each
-// shard owns a modeled cycle clock (one VLSA functional unit per
+// (`RoutePolicy`), and a shard's dispatchers pop only its own queue.
+// Each shard owns a modeled cycle clock (one VLSA functional unit per
 // shard), its own modeled recovery lane, and labeled per-shard metrics
 // ("service.submitted{shard=3}").  shards == 1 is byte-for-byte the
 // pre-sharding service — no routing, no labels, same snapshots.
@@ -106,12 +104,6 @@ enum class RoutePolicy {
   RoundRobin,
 };
 
-/// What an idle shard worker does about a busy neighbor's backlog.
-enum class StealPolicy {
-  None,      ///< shards are fully independent (strict per-shard FIFO)
-  Neighbor,  ///< idle workers drain shard (i+1) % shards opportunistically
-};
-
 /// What `ServiceConfig::max_batch = 0` means, on every ISA tier.
 inline constexpr int kDefaultMaxBatch = 256;
 
@@ -133,15 +125,6 @@ struct ServiceConfig {
   int shards = 1;
   /// Shard selection for submissions (shards > 1 only).
   RoutePolicy route = RoutePolicy::Hash;
-  /// Work stealing between shard workers (shards > 1 only).  Stealing
-  /// trades strict per-shard FIFO for tail latency under skew: a stolen
-  /// request executes (and is clocked) on the thief's shard, counted in
-  /// that shard's `service.stolen{shard=i}`.
-  StealPolicy steal = StealPolicy::None;
-  /// Pin each shard's dispatcher threads to core (shard index mod
-  /// hardware_concurrency).  Linux-only; a no-op elsewhere and off by
-  /// default — pinning helps dedicated hosts and hurts shared ones.
-  bool pin_threads = false;
   /// Most requests one dispatcher pop takes.  0 (the default) means
   /// kDefaultMaxBatch; any positive value is used as given.  1 gives
   /// the no-batching baseline the throughput bench compares against.
@@ -182,9 +165,6 @@ struct Completion {
   bool flagged = false;    ///< ER fired; took the recovery lane
   bool speculative_wrong = false;  ///< the one-cycle answer was wrong
   long long latency_cycles = 0;    ///< modeled: queue wait + service
-  /// Shard whose engine produced the sum — equals the routed shard
-  /// unless a neighbor stole the request (work-steal provenance).
-  int shard = 0;
 };
 
 class AdderService {
@@ -321,7 +301,6 @@ class AdderService {
     telemetry::Counter* rejected = nullptr;
     telemetry::Counter* recovered = nullptr;
     telemetry::Counter* batches = nullptr;
-    telemetry::Counter* stolen = nullptr;
     telemetry::Gauge* queue_depth = nullptr;
   };
 
@@ -343,9 +322,8 @@ class AdderService {
   template <typename OnMiss>
   std::size_t admit(std::span<Request> requests, Admission mode,
                     OnMiss&& on_miss);
-  /// One dispatcher's life: pop from the own queue (and, with
-  /// StealPolicy::Neighbor, the neighbor's), dispatch, and return once
-  /// the own queue reports closed and drained.
+  /// One dispatcher's life: block on the shard's queue, dispatch what
+  /// it pops, and return once the queue is closed and drained.
   void worker_loop(std::size_t shard_index);
   /// One dispatcher's working memory, reused across its batches so a
   /// steady dispatcher allocates nothing per request.
@@ -361,10 +339,9 @@ class AdderService {
   /// Evaluate every request of one batch in its own limbs, then
   /// complete each on the calling thread, in batch order: an unflagged
   /// request takes the evaluated sum, a flagged one is summed again in
-  /// place and charged to the shard's modeled recovery lane.  `stolen`
-  /// marks a batch the executing worker took from a neighbor's queue.
+  /// place and charged to the shard's modeled recovery lane.
   std::size_t dispatch(std::vector<Request>& batch, DispatchScratch& scratch,
-                       Shard& shard, std::size_t shard_index, bool stolen);
+                       Shard& shard, std::size_t shard_index);
   /// Hand the finished completion to whichever channel the request
   /// carries (callback or promise).
   static void deliver(Request& request, Completion&& completion);

@@ -144,8 +144,6 @@ struct EventArgs {
   bool has_req = false;
   /// Shard the event happened on (-1 = absent; the service sets it
   /// only in sharded mode, so single-shard exports are unchanged).
-  /// For stolen batches this is the THIEF's shard — the engine that
-  /// actually ran the work.
   int shard = -1;
 };
 

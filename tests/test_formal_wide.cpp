@@ -47,30 +47,43 @@ TEST(FormalWide, AcaConditionallyExactAt256To1024) {
   }
 }
 
-TEST(FormalWide, SpeculativeCarryIdentityAt256And512) {
-  // c_spec = c_exact & ~R_k, the batch engine's formula, against the
-  // shared-strip ACA on every output, with no assumptions, for R_k by
-  // AND-doubling (the row-major kernel) and by block prefix/suffix ANDs
-  // (the sliced kernel; 512 = 56*9 + 8 ends in a partial block).  The
-  // doubling build is also proved at 1024/23: that is the R_k the
-  // service's row kernel evaluates.
-  struct Case {
-    testing::RunMaskBuild how;
-    int width, k;
-  };
-  for (const Case c : {Case{testing::RunMaskBuild::Doubling, 256, 8},
-                       Case{testing::RunMaskBuild::Doubling, 512, 9},
-                       Case{testing::RunMaskBuild::Doubling, 1024, 23},
-                       Case{testing::RunMaskBuild::BlockWindow, 256, 8},
-                       Case{testing::RunMaskBuild::BlockWindow, 512, 9}}) {
-    const auto reference = core::build_aca(c.width, c.k, true);
-    const auto identity = testing::build_run_mask_aca(c.width, c.k, c.how);
-    const auto result = check_equivalence_formal(identity, reference.nl);
-    EXPECT_EQ(result.verdict, FormalVerdict::Proven)
-        << "width " << c.width << " k " << c.k << " build "
-        << static_cast<int>(c.how) << ": " << result.summary();
-    EXPECT_EQ(result.outputs_compared, c.width + 2);
-  }
+// c_spec = c_exact & ~R_k, the batch engine's formula, against the
+// shared-strip ACA on every output, with no assumptions, for R_k by
+// AND-doubling (the row-major kernel) and by block prefix/suffix ANDs
+// (the sliced kernel; 512 = 56*9 + 8 ends in a partial block).  The
+// doubling build is also proved at 1024/23: that is the R_k the
+// service's row kernel evaluates.  One case per construction and size,
+// so ctest runs them side by side.
+void expect_speculative_carry_identity(testing::RunMaskBuild how, int width,
+                                       int k) {
+  const auto reference = core::build_aca(width, k, true);
+  const auto identity = testing::build_run_mask_aca(width, k, how);
+  const auto result = check_equivalence_formal(identity, reference.nl);
+  EXPECT_EQ(result.verdict, FormalVerdict::Proven) << result.summary();
+  EXPECT_EQ(result.outputs_compared, width + 2);
+}
+
+TEST(FormalWide, SpeculativeCarryIdentityDoublingAt256k8) {
+  expect_speculative_carry_identity(testing::RunMaskBuild::Doubling, 256, 8);
+}
+
+TEST(FormalWide, SpeculativeCarryIdentityDoublingAt512k9) {
+  expect_speculative_carry_identity(testing::RunMaskBuild::Doubling, 512, 9);
+}
+
+TEST(FormalWide, SpeculativeCarryIdentityDoublingAt1024k23) {
+  expect_speculative_carry_identity(testing::RunMaskBuild::Doubling, 1024,
+                                    23);
+}
+
+TEST(FormalWide, SpeculativeCarryIdentityBlockWindowAt256k8) {
+  expect_speculative_carry_identity(testing::RunMaskBuild::BlockWindow, 256,
+                                    8);
+}
+
+TEST(FormalWide, SpeculativeCarryIdentityBlockWindowAt512k9) {
+  expect_speculative_carry_identity(testing::RunMaskBuild::BlockWindow, 512,
+                                    9);
 }
 
 TEST(FormalWide, VlsaRecoveryExactAt256To1024) {

@@ -6,7 +6,7 @@
 //   * service::BoundedQueue<T, mc::Sync>   — the real queue on
 //     checker-controlled mutex/condvar (service/bounded_queue.hpp).
 //     Its one `push` and one `pop_batch` are the calls the service
-//     makes, with the same `wait` flags and timeouts.
+//     makes, with the same `wait` flags.
 //   * trace::BasicEventRing<mc::Atomics>   — the real seqlock ring on
 //     checker-controlled atomics (trace/trace.hpp).
 // Swapping the policy parameter is the only difference from production.
@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -41,9 +40,6 @@ using vlsa::trace::TraceEvent;
 namespace {
 
 using McQueueT = BoundedQueue<int, mc::Sync>;
-
-constexpr std::chrono::microseconds kForever = McQueueT::kForever;
-constexpr std::chrono::microseconds kNoWait{0};
 
 // One item through the queue's only push: `wait` blocks for space like
 // a Block-policy submit, otherwise it is the event loop's try.
@@ -71,7 +67,7 @@ void queue_two_producer_body() {
   std::vector<int> out;
   while (seen.size() < 4) {
     out.clear();
-    (void)q.pop_batch(out, 4, kForever);
+    (void)q.pop_batch(out, 4, true);
     seen.insert(seen.end(), out.begin(), out.end());
   }
   p1.join();
@@ -118,7 +114,7 @@ TEST(McQueue, BulkPushBatchPop) {
         std::vector<int> out;
         while (seen.size() < 3) {
           out.clear();
-          (void)q.pop_batch(out, 2, kForever);
+          (void)q.pop_batch(out, 2, true);
           seen.insert(seen.end(), out.begin(), out.end());
         }
         p.join();
@@ -141,7 +137,7 @@ TEST(McQueue, CloseDrainsThenSignalsShutdown) {
       for (;;) {
         out.clear();
         // Shutdown signal: a forever pop returns empty only once done.
-        if (q.pop_batch(out, 4, kForever).taken == 0) break;
+        if (q.pop_batch(out, 4, true) == 0) break;
         got.insert(got.end(), out.begin(), out.end());
       }
       // Everything queued before close drains, in order.
@@ -172,7 +168,7 @@ TEST(McCoverage, TwoProducerTwoConsumerTenThousandSchedules) {
           std::vector<int> out;
           for (;;) {
             out.clear();
-            const std::size_t n = q.pop_batch(out, 2, kForever).taken;
+            const std::size_t n = q.pop_batch(out, 2, true);
             if (n == 0) break;  // closed and empty
             popped.fetch_add(static_cast<int>(n));
           }
@@ -301,7 +297,7 @@ TEST(McService, CompletionHandoffPublishesResult) {
     mc::atomic<int> done{0};
     mc::Thread worker([&] {
       std::vector<int> out;
-      while (out.empty()) (void)q.pop_batch(out, 1, kForever);
+      while (out.empty()) (void)q.pop_batch(out, 1, true);
       result.store(out[0] * 2, std::memory_order_relaxed);
       done.store(1, std::memory_order_release);
     });
@@ -329,7 +325,7 @@ TEST(McService, CompetingWorkersDeliverExactlyOnce) {
           std::vector<int> out;
           for (;;) {
             out.clear();
-            if (q.pop_batch(out, 2, kForever).taken == 0) break;
+            if (q.pop_batch(out, 2, true) == 0) break;
             for (const int i : out) {
               if (i == 0) delivered0.fetch_add(1);
               if (i == 1) delivered1.fetch_add(1);
@@ -348,129 +344,6 @@ TEST(McService, CompetingWorkersDeliverExactlyOnce) {
       },
       o);
   EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
-}
-
-// ---------------------------------------------------------------------
-// McShardedDrain — the N-shard close/drain protocol the sharded
-// service's steal-capable workers run (service.cpp worker_loop):
-// pop_batch computes `done` (closed && empty) under the same lock as
-// the take, so "may I exit?" and "did I get the last item?" are one
-// atomic question.  The two-step alternative — a timed pop returning 0
-// followed by a separate closed() probe — loses the item pushed
-// between the two steps; McMutant.TimedDrainSeparateClosedCheckLosesItem
-// below pins that schedule.
-//
-// Loop-shape note: timed waits are always eligible via the modeled
-// timeout path, so an unbounded retry loop would spin into the step
-// budget.  These bodies therefore make a BOUNDED number of concurrent
-// probes and finish with a post-join drain that the protocol
-// guarantees completes in one call.
-
-constexpr std::chrono::microseconds kProbeTimeout{100};
-
-TEST(McShardedDrain, DoneImpliesTheOnlyConsumerTookEverything) {
-  // Single queue, single consumer racing a push+close: whenever a
-  // probe reports done, this consumer — the only one — must already
-  // hold every pushed item.  This is the atomicity the separate
-  // closed() check lacks.
-  mc::Options o;
-  o.preemption_bound = 2;
-  o.max_schedules = 20000;
-  const mc::Result r = mc::explore(
-      [] {
-        McQueueT q(2);
-        mc::Thread p([&] {
-          MC_ASSERT(push_one(q, 7));
-          q.close();
-        });
-        int drained = 0;
-        bool done = false;
-        std::vector<int> out;
-        for (int probe = 0; probe < 2 && !done; ++probe) {
-          out.clear();
-          const auto result = q.pop_batch(out, 2, kProbeTimeout);
-          drained += static_cast<int>(result.taken);
-          done = result.done;
-          if (done) MC_ASSERT(drained == 1);  // exit implies drained
-        }
-        p.join();
-        if (!done) {
-          // Closed queue: one call returns the full residue AND done —
-          // no second call to see the close.
-          out.clear();
-          const auto result = q.pop_batch(out, 2, kProbeTimeout);
-          drained += static_cast<int>(result.taken);
-          MC_ASSERT(result.done);
-        }
-        MC_ASSERT(drained == 1);
-      },
-      o);
-  EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
-  // Sleep-set pruning leaves a small but real frontier here; the point
-  // is exhaustion without a violation, not raw schedule count.
-  EXPECT_GE(r.schedules, 20u);
-  EXPECT_FALSE(r.budget_exhausted);
-}
-
-TEST(McShardedDrain, TwoQueueNeighborStealDrainNeverStrandsItems) {
-  // The full sharded shape: two shard queues, one producer/closer,
-  // two drainers each probing its own queue then stealing from the
-  // neighbor (StealPolicy::Neighbor's pop pattern).  After both
-  // drainers and the closer finish, the body's final timed pop on
-  // each queue must report done immediately, and every item must have
-  // been popped exactly once across own-pops, steals, and the final
-  // sweep.
-  mc::Options o;
-  o.preemption_bound = 2;
-  o.max_schedules = 40000;
-  const mc::Result r = mc::explore(
-      [] {
-        McQueueT q0(2);
-        McQueueT q1(2);
-        mc::atomic<int> count7{0};
-        mc::atomic<int> count8{0};
-        auto tally = [&](const std::vector<int>& out) {
-          for (const int v : out) {
-            MC_ASSERT(v == 7 || v == 8);
-            (v == 7 ? count7 : count8).fetch_add(1);
-          }
-        };
-        mc::Thread p([&] {
-          MC_ASSERT(push_one(q0, 7));
-          MC_ASSERT(push_one(q1, 8));
-          q0.close();
-          q1.close();
-        });
-        auto drain_pass = [&](McQueueT& own, McQueueT& victim) {
-          std::vector<int> out;
-          (void)own.pop_batch(out, 2, kProbeTimeout);
-          tally(out);
-          out.clear();
-          (void)victim.pop_batch(out, 2, kNoWait);  // the neighbor steal
-          tally(out);
-        };
-        mc::Thread d0([&] { drain_pass(q0, q1); });
-        mc::Thread d1([&] { drain_pass(q1, q0); });
-        d0.join();
-        d1.join();
-        p.join();
-        // Quiescent sweep: both queues are closed, so one call each
-        // must take any residue and report done at the same time.
-        std::vector<int> out;
-        const auto r0 = q0.pop_batch(out, 2, kProbeTimeout);
-        tally(out);
-        MC_ASSERT(r0.done);
-        out.clear();
-        const auto r1 = q1.pop_batch(out, 2, kProbeTimeout);
-        tally(out);
-        MC_ASSERT(r1.done);
-        // No loss, no duplication across own-pop, steal, and sweep.
-        MC_ASSERT(count7.load() == 1);
-        MC_ASSERT(count8.load() == 1);
-      },
-      o);
-  EXPECT_FALSE(r.failed) << r.message << "\n" << r.trace;
-  EXPECT_GT(r.schedules, 100u);
 }
 
 // ---------------------------------------------------------------------
@@ -497,7 +370,7 @@ TEST(McMutant, QueueLostNotEmptyWakeupDeadlocks) {
     McQueueT q(1);
     mc::Thread p([&] { MC_ASSERT(push_one(q, 7)); });
     std::vector<int> out;
-    while (out.empty()) (void)q.pop_batch(out, 1, kForever);
+    while (out.empty()) (void)q.pop_batch(out, 1, true);
     p.join();
     MC_ASSERT(out[0] == 7);
   };
@@ -528,7 +401,7 @@ TEST(McMutant, QueueLostNotFullWakeupDeadlocks) {
     std::vector<int> out;
     while (seen.size() < 2) {
       out.clear();
-      (void)q.pop_batch(out, 1, kForever);
+      (void)q.pop_batch(out, 1, true);
       seen.insert(seen.end(), out.begin(), out.end());
     }
     p.join();
@@ -547,7 +420,7 @@ TEST(McMutant, QueueLostCloseWakeupDeadlocks) {
     McQueueT q(1);
     mc::Thread c([&] {
       std::vector<int> out;
-      (void)q.pop_batch(out, 1, kForever);  // returns done after close
+      (void)q.pop_batch(out, 1, true);  // returns 0 after close
       MC_ASSERT(out.empty());
     });
     q.close();
@@ -664,7 +537,7 @@ TEST(McMutant, ServicePublishBeforeResultCaught) {
     mc::atomic<int> done{0};
     mc::Thread worker([&] {
       std::vector<int> out;
-      while (out.empty()) (void)q.pop_batch(out, 1, kForever);
+      while (out.empty()) (void)q.pop_batch(out, 1, true);
       done.store(1, std::memory_order_release);  // MUTANT: before result
       result.store(out[0] * 2, std::memory_order_relaxed);
     });
@@ -678,43 +551,6 @@ TEST(McMutant, ServicePublishBeforeResultCaught) {
   const mc::Result r = mc::explore(body, o);
   expect_replayable_failure(body, r, o);
   EXPECT_NE(r.message.find("== 42"), std::string::npos) << r.message;
-}
-
-// Mutant 8: the drain race PopResult::done exists to close.  Exit on
-// "timed pop took nothing AND a separate closed() probe says closed":
-// between the pop's unlock and the closed() call the producer pushes
-// the last item and closes, the probe sees closed == true, and the
-// drainer exits with the item stranded.  The sharded close sequence
-// (close all queues, then join all dispatchers) makes this window real
-// — which is why worker_loop exits on the atomic `done` instead.
-TEST(McMutant, TimedDrainSeparateClosedCheckLosesItem) {
-  auto body = [] {
-    McQueueT q(2);
-    mc::Thread p([&] {
-      MC_ASSERT(push_one(q, 7));
-      q.close();
-    });
-    int drained = 0;
-    bool exited = false;
-    std::vector<int> out;
-    for (int probe = 0; probe < 3 && !exited; ++probe) {
-      out.clear();
-      drained += static_cast<int>(q.pop_batch(out, 2, kProbeTimeout).taken);
-      // MUTANT: ignore PopResult::done; re-derive the exit condition
-      // from a second, separately-locked probe.
-      if (out.empty() && q.closed()) exited = true;
-    }
-    p.join();
-    if (!exited) {
-      out.clear();
-      drained += static_cast<int>(q.pop_batch(out, 2, kProbeTimeout).taken);
-    }
-    MC_ASSERT(drained == 1);
-  };
-  mc::Options o;
-  const mc::Result r = mc::explore_iterative(body, 2, o);
-  expect_replayable_failure(body, r, o);
-  EXPECT_NE(r.message.find("drained == 1"), std::string::npos) << r.message;
 }
 
 }  // namespace

@@ -561,9 +561,6 @@ bool push_one(service::BoundedQueue<int>& queue, int item, bool wait) {
   return queue.push({&item, 1}, wait) == 1;
 }
 
-constexpr std::chrono::microseconds kNoWait{0};
-constexpr auto kForever = service::BoundedQueue<int>::kForever;
-
 TEST(BoundedQueue, PushPopBatchBasics) {
   service::BoundedQueue<int> queue(4);
   EXPECT_TRUE(push_one(queue, 1, false));
@@ -572,13 +569,13 @@ TEST(BoundedQueue, PushPopBatchBasics) {
   EXPECT_TRUE(push_one(queue, 4, false));
   EXPECT_FALSE(push_one(queue, 5, false));  // full
   std::vector<int> out;
-  EXPECT_EQ(queue.pop_batch(out, 3, kNoWait).taken, 3u);
+  EXPECT_EQ(queue.pop_batch(out, 3, false), 3u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3}));
   EXPECT_TRUE(push_one(queue, 5, false));  // space again
   out.clear();
-  EXPECT_EQ(queue.pop_batch(out, 10, kNoWait).taken, 2u);
+  EXPECT_EQ(queue.pop_batch(out, 10, false), 2u);
   EXPECT_EQ(out, (std::vector<int>{4, 5}));
-  EXPECT_EQ(queue.pop_batch(out, 10, kNoWait).taken, 0u);
+  EXPECT_EQ(queue.pop_batch(out, 10, false), 0u);
 }
 
 TEST(BoundedQueue, PushWithoutWaitTakesTheLeadingItemsThatFit) {
@@ -590,7 +587,7 @@ TEST(BoundedQueue, PushWithoutWaitTakesTheLeadingItemsThatFit) {
   EXPECT_EQ(queue.push(items, false), 2u);
   EXPECT_EQ(items[2], "c");
   std::vector<std::string> out;
-  EXPECT_EQ(queue.pop_batch(out, 8, kNoWait).taken, 2u);
+  EXPECT_EQ(queue.pop_batch(out, 8, false), 2u);
   EXPECT_EQ(out, (std::vector<std::string>{"a", "b"}));
   queue.close();
   std::vector<std::string> late{"d"};
@@ -606,9 +603,9 @@ TEST(BoundedQueue, CloseDrainsThenSignalsShutdown) {
   EXPECT_FALSE(push_one(queue, 3, false));
   std::vector<int> out;
   // A closed queue drains...
-  EXPECT_EQ(queue.pop_batch(out, 64, kForever).taken, 2u);
+  EXPECT_EQ(queue.pop_batch(out, 64, true), 2u);
   // ...and then reports shutdown immediately (no block).
-  EXPECT_EQ(queue.pop_batch(out, 64, kForever).taken, 0u);
+  EXPECT_EQ(queue.pop_batch(out, 64, true), 0u);
 }
 
 TEST(BoundedQueue, RingKeepsFifoAcrossWrapAroundAndGrowth) {
@@ -622,7 +619,7 @@ TEST(BoundedQueue, RingKeepsFifoAcrossWrapAroundAndGrowth) {
   for (int round = 0; round < 48; ++round) {
     for (int i = 0; i < 5; ++i) ASSERT_TRUE(push_one(queue, next_in++, false));
     out.clear();
-    ASSERT_EQ(queue.pop_batch(out, 3, kNoWait).taken, 3u);
+    ASSERT_EQ(queue.pop_batch(out, 3, false), 3u);
     for (const int v : out) ASSERT_EQ(v, next_out++);
   }
   EXPECT_EQ(queue.size(), 96u);
@@ -630,13 +627,13 @@ TEST(BoundedQueue, RingKeepsFifoAcrossWrapAroundAndGrowth) {
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(push_one(queue, next_in++, false));
   EXPECT_FALSE(push_one(queue, -1, false));
   out.clear();
-  EXPECT_EQ(queue.pop_batch(out, 1000, kNoWait).taken, 100u);
+  EXPECT_EQ(queue.pop_batch(out, 1000, false), 100u);
   for (const int v : out) EXPECT_EQ(v, next_out++);
   EXPECT_EQ(next_out, next_in);
   // The drained ring keeps its slots and its order.
   for (int i = 0; i < 7; ++i) EXPECT_TRUE(push_one(queue, next_in++, false));
   out.clear();
-  EXPECT_EQ(queue.pop_batch(out, 1000, kNoWait).taken, 7u);
+  EXPECT_EQ(queue.pop_batch(out, 1000, false), 7u);
   for (const int v : out) EXPECT_EQ(v, next_out++);
 }
 
@@ -648,7 +645,7 @@ TEST(BoundedQueue, CapacityOneQueueHoldsOneItemAtATime) {
       EXPECT_EQ(queue.push(items, false), 1u);
       EXPECT_EQ(items[1], "spill");
       std::vector<std::string> out;
-      EXPECT_EQ(queue.pop_batch(out, 8, kNoWait).taken, 1u);
+      EXPECT_EQ(queue.pop_batch(out, 8, false), 1u);
       EXPECT_EQ(out, (std::vector<std::string>{std::to_string(i)}));
     }
     EXPECT_EQ(queue.size(), 0u);
@@ -659,26 +656,14 @@ TEST(BoundedQueue, CloseDrainsWrappedRingInOrder) {
   service::BoundedQueue<int> queue(8);
   std::vector<int> out;
   for (int i = 0; i < 6; ++i) EXPECT_TRUE(push_one(queue, i, false));
-  EXPECT_EQ(queue.pop_batch(out, 4, kNoWait).taken, 4u);
+  EXPECT_EQ(queue.pop_batch(out, 4, false), 4u);
   for (int i = 6; i < 12; ++i) EXPECT_TRUE(push_one(queue, i, false));
   queue.close();
   EXPECT_FALSE(push_one(queue, 99, false));
   out.clear();
-  service::BoundedQueue<int>::PopResult result;
-  do {
-    result = queue.pop_batch(out, 3, kForever);
-  } while (!result.done);
-  EXPECT_EQ(out, (std::vector<int>{4, 5, 6, 7, 8, 9, 10, 11}));
-}
-
-// Like counter_value but tolerant of a not-yet-registered name: used
-// for polling loops where failing the test on a race would be wrong.
-long long counter_or_zero(const telemetry::Snapshot& snap,
-                          const std::string& name) {
-  for (const auto& [key, value] : snap.counters) {
-    if (key == name) return value;
+  while (queue.pop_batch(out, 3, true) > 0) {
   }
-  return 0;
+  EXPECT_EQ(out, (std::vector<int>{4, 5, 6, 7, 8, 9, 10, 11}));
 }
 
 TEST(ServiceShardedRouting, HashSpreadsUniformTrafficAcrossShards) {
@@ -723,13 +708,78 @@ TEST(ServiceShardedRouting, RouteIsDeterministicPerOperandPair) {
   }
 }
 
+TEST(ServiceShardedRouting, RoundRobinKeepsEachCallWholeAndRotates) {
+  // RoundRobin takes one ticket per call: a submit_many chunk lands
+  // whole on one shard, the next call on the other, and single submits
+  // alternate.  Pump mode, so each queue holds what was routed to it
+  // until the flush.
+  auto config = pump_config(64, 8);
+  config.shards = 2;
+  config.route = service::RoutePolicy::RoundRobin;
+  config.overflow = OverflowPolicy::Reject;
+  AdderService service(config);
+  workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
+                                  0x7070);
+  std::vector<BitVec> sums;
+  std::vector<std::future<Completion>> futures;
+  const auto submit_chunk = [&](int n) {
+    std::vector<std::pair<BitVec, BitVec>> ops;
+    for (int i = 0; i < n; ++i) {
+      auto [a, b] = stream.next();
+      sums.push_back(a + b);
+      ops.emplace_back(std::move(a), std::move(b));
+    }
+    for (auto& future : service.submit_many(std::move(ops))) {
+      ASSERT_TRUE(future.has_value());
+      futures.push_back(std::move(*future));
+    }
+  };
+  const auto submit_one = [&] {
+    auto [a, b] = stream.next();
+    sums.push_back(a + b);
+    auto future = service.submit(std::move(a), std::move(b));
+    ASSERT_TRUE(future.has_value());
+    futures.push_back(std::move(*future));
+  };
+  // Queue depth and labeled submit count of one shard.
+  const auto expect_shard = [&service](int shard, std::size_t n) {
+    EXPECT_EQ(service.shard_queue_depth(shard), n) << "shard " << shard;
+    EXPECT_EQ(counter_value(service.registry().snapshot(),
+                            "service.submitted{shard=" +
+                                std::to_string(shard) + "}"),
+              static_cast<long long>(n))
+        << "shard " << shard;
+  };
+
+  submit_chunk(5);
+  const int first = service.shard_queue_depth(0) == 5 ? 0 : 1;
+  const int other = 1 - first;
+  expect_shard(first, 5);
+  expect_shard(other, 0);
+  submit_chunk(3);
+  expect_shard(first, 5);
+  expect_shard(other, 3);
+  submit_one();
+  expect_shard(first, 6);
+  expect_shard(other, 3);
+  submit_one();
+  expect_shard(first, 6);
+  expect_shard(other, 4);
+
+  service.flush();
+  ASSERT_EQ(futures.size(), sums.size());
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get().sum, sums[i]) << "request " << i;
+  }
+  EXPECT_EQ(service.shard_queue_depth(0), 0u);
+  EXPECT_EQ(service.shard_queue_depth(1), 0u);
+}
+
 TEST(ServiceSharded, PerShardCompletionOrderIsFifoNoLossNoDup) {
-  // 4 shards x 1 dispatcher each, no stealing: each shard's completions
-  // must be exactly its submissions in submission order — FIFO, no
-  // loss, no duplicates, and the executing shard (Completion::shard)
-  // must equal the routed shard.  Window 64 never flags at width 64;
-  // window 4 flags most requests, so FIFO must also hold across the
-  // recovery path.
+  // 4 shards x 1 dispatcher each: each shard's completions must be
+  // exactly its submissions in submission order — FIFO, no loss, no
+  // duplicates.  Window 64 never flags at width 64; window 4 flags most
+  // requests, so FIFO must also hold across the recovery path.
   for (const int window : {64, 4}) {
     SCOPED_TRACE("window " + std::to_string(window));
     ServiceConfig config;
@@ -752,9 +802,10 @@ TEST(ServiceSharded, PerShardCompletionOrderIsFifoNoLossNoDup) {
       const auto shard = service.route_of(a, b);
       expected[shard].push_back(i);
       const bool ok = service.try_submit_callback(
-          std::move(a), std::move(b), [&mutex, &completed, i](Completion c) {
+          std::move(a), std::move(b),
+          [&mutex, &completed, shard, i](Completion) {
             std::lock_guard<std::mutex> lock(mutex);
-            completed[static_cast<std::size_t>(c.shard)].push_back(i);
+            completed[shard].push_back(i);
           });
       ASSERT_TRUE(ok) << "backpressure below capacity at " << i;
     }
@@ -970,60 +1021,6 @@ TEST(ServiceSharded, TrySubmitCallbackMissHandsOperandsBack) {
   }
 }
 
-TEST(ServiceSharded, NeighborStealExecutesOnThiefWithProvenance) {
-  // 2 shards, all traffic hash-routed to shard 0, stealing on: shard
-  // 1's idle dispatcher must lift batches from its neighbor, and every
-  // stolen completion must carry the thief's shard id (Completion::
-  // shard == 1) while the sums stay exact.  Sustained load with a
-  // generous round cap keeps this deterministic-in-outcome even on a
-  // single hardware thread.
-  ServiceConfig config;
-  config.pipeline.width = 64;
-  config.pipeline.window = 64;  // never flags: isolate the steal path
-  config.workers = 2;
-  config.shards = 2;
-  config.steal = service::StealPolicy::Neighbor;
-  config.queue_capacity = 512;
-  config.overflow = OverflowPolicy::Block;
-  config.record_wall_time = false;
-  telemetry::Registry registry;
-  AdderService service(config, &registry);
-  workloads::OperandStream stream(workloads::Distribution::Uniform, 64,
-                                  0x57ea1);
-  std::vector<std::pair<BitVec, BitVec>> pool;
-  while (pool.size() < 256) {
-    auto [a, b] = stream.next();
-    if (service.route_of(a, b) == 0) pool.emplace_back(a, b);
-  }
-  std::vector<BitVec> sums;
-  std::vector<std::future<Completion>> futures;
-  bool stolen_seen = false;
-  for (int round = 0; round < 400 && !stolen_seen; ++round) {
-    for (const auto& [a, b] : pool) {
-      auto future = service.submit(a, b);
-      ASSERT_TRUE(future.has_value());
-      sums.push_back(a + b);
-      futures.push_back(std::move(*future));
-    }
-    stolen_seen = counter_or_zero(registry.snapshot(),
-                                  "service.stolen{shard=1}") > 0;
-  }
-  service.flush();
-  EXPECT_TRUE(stolen_seen) << "shard 1 never stole from its neighbor";
-  int executed_on_thief = 0;
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    const Completion got = futures[i].get();
-    EXPECT_EQ(got.sum, sums[i]);
-    if (got.shard == 1) ++executed_on_thief;
-  }
-  EXPECT_GT(executed_on_thief, 0);
-  const auto snap = registry.snapshot();
-  EXPECT_EQ(counter_or_zero(snap, "service.stolen{shard=0}"), 0)
-      << "shard 0 had nothing to steal from an empty neighbor";
-  EXPECT_EQ(counter_value(snap, "service.completed"),
-            static_cast<long long>(futures.size()));
-}
-
 TEST(ServiceSharded, SingleShardSnapshotHasNoShardLabels) {
   // shards == 1 must be byte-identical to the pre-sharding service:
   // in particular no `{shard=...}` labeled series may appear (the
@@ -1040,36 +1037,6 @@ TEST(ServiceSharded, SingleShardSnapshotHasNoShardLabels) {
   for (const auto& [key, value] : snap.gauges) {
     EXPECT_EQ(key.find("{shard="), std::string::npos) << key;
   }
-}
-
-TEST(BoundedQueue, PopBatchForReportsDoneAtomicallyWithTheLastPop) {
-  // The close/drain race: `done` must be computed under the same
-  // lock as the pop, so a drainer can never see (taken == 0, done ==
-  // false) forever nor exit while items remain.  The mc two-queue suite
-  // (test_mc_suites.cpp) pins the interleaving; this is the plain unit
-  // coverage of the timed pop.
-  service::BoundedQueue<int> queue(8);
-  EXPECT_TRUE(push_one(queue, 1, false));
-  EXPECT_TRUE(push_one(queue, 2, false));
-  std::vector<int> out;
-  // Open queue with items: taken > 0, not done.
-  auto result = queue.pop_batch(out, 64, std::chrono::microseconds(1000));
-  EXPECT_EQ(result.taken, 2u);
-  EXPECT_FALSE(result.done);
-  // Open queue, empty: times out with nothing, still not done.
-  out.clear();
-  result = queue.pop_batch(out, 64, std::chrono::microseconds(1000));
-  EXPECT_EQ(result.taken, 0u);
-  EXPECT_FALSE(result.done);
-  // Closed with a residual item: the pop that takes the last item also
-  // reports done — one call, no separate closed() check.
-  EXPECT_TRUE(push_one(queue, 3, false));
-  queue.close();
-  out.clear();
-  result = queue.pop_batch(out, 64, std::chrono::microseconds(1'000'000));
-  EXPECT_EQ(result.taken, 1u);
-  EXPECT_EQ(out, (std::vector<int>{3}));
-  EXPECT_TRUE(result.done);
 }
 
 }  // namespace
