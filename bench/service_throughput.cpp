@@ -25,7 +25,9 @@
 //      so a reader can interpret the wall numbers on small machines.
 //      The section is also written standalone to BENCH_scaling.json
 //      (the committed curve at the repo root; see docs/scaling.md), and
-//      `--scaling [--quick]` runs just this section for the CI smoke.
+//      `--scaling [--quick]` runs just this section; the quick curve
+//      (the CI smoke) goes to BENCH_scaling_quick.json instead, so a
+//      quick run never overwrites the full one.
 //
 // Everything lands in service_throughput.bench.json (with provenance)
 // for cross-PR trajectories.
@@ -206,11 +208,12 @@ ScalingPoint measure_scaling(int shards, long long requests, int width) {
   return point;
 }
 
-// The scaling study (experiment 4).  Standalone output always lands in
-// BENCH_scaling.json in the working directory; when `parent` is set the
-// same section is embedded in the main bench sidecar under "scaling".
-// Quick mode (the CI smoke) measures shard counts {1, 2} with a smaller
-// request count and a 1.3x floor at 2 shards.
+// The scaling study (experiment 4).  Standalone output lands in the
+// working directory, in BENCH_scaling.json or, in quick mode,
+// BENCH_scaling_quick.json; when `parent` is set the same section is
+// embedded in the main bench sidecar under "scaling".  Quick mode (the
+// CI smoke) measures shard counts {1, 2} with a smaller request count
+// and a 1.3x floor at 2 shards.
 void run_scaling(bool quick, util::JsonWriter* parent) {
   bench::banner(quick
                     ? "Sharded scaling (quick) — shards {1, 2}, width 1024"
@@ -285,8 +288,10 @@ void run_scaling(bool quick, util::JsonWriter* parent) {
     out.kv("meets_1_3x_quick_floor", modeled_2 >= 1.3);
   };
   {
-    std::ofstream scaling_file("BENCH_scaling.json");
-    std::cout << "(scaling curve -> BENCH_scaling.json)\n";
+    const char* path =
+        quick ? "BENCH_scaling_quick.json" : "BENCH_scaling.json";
+    std::ofstream scaling_file(path);
+    std::cout << "(scaling curve -> " << path << ")\n";
     util::JsonWriter scaling_json(scaling_file);
     scaling_json.begin_object();
     scaling_json.kv("bench", "BENCH_scaling");

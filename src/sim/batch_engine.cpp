@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <span>
 #include <stdexcept>
 
 #include "sim/wide_kernel.hpp"
@@ -28,20 +29,29 @@ void check_lanes(int lanes) {
   }
 }
 
-void check_wide(const WideBatch& ops, int k) {
-  if (ops.width < 1) {
+/// Check one wide slice of `width` bits and `lanes` lanes.
+void check_slice(std::span<const std::uint64_t> slice, int width,
+                 int lanes) {
+  if (width < 1) {
     throw std::invalid_argument("batch engine: empty operands");
   }
-  check_lanes(ops.lanes);
-  const auto expect =
-      static_cast<std::size_t>(ops.width) * static_cast<std::size_t>(
-                                                ops.words());
-  if (ops.a.size() != expect || ops.b.size() != expect) {
+  check_lanes(lanes);
+  if (slice.size() != static_cast<std::size_t>(width) *
+                          static_cast<std::size_t>(lanes / 64)) {
     throw std::invalid_argument("batch engine: slice/width/lanes mismatch");
   }
+}
+
+void check_window(int k) {
   if (k < 1) {
     throw std::invalid_argument("batch engine: window must be >= 1");
   }
+}
+
+void check_wide(const WideBatch& ops, int k) {
+  check_slice(ops.a, ops.width, ops.lanes);
+  check_slice(ops.b, ops.width, ops.lanes);
+  check_window(k);
 }
 
 /// Read lane `lane` out of the wide slice layout bit by bit (bit i of
@@ -63,24 +73,24 @@ void extract_lane(const std::uint64_t* sliced, int width, int words, int lane,
   }
 }
 
-/// Run the eval kernel group by group over a wide slice pair: every
-/// output, or (`all_outputs` false) only `flagged` and `wrong`, with the
-/// other outputs left empty.
-void wide_eval(const WideBatch& ops, int k, bool subtract,
-               const std::uint64_t* carry_in, bool all_outputs,
+/// Run the eval kernel in `mode` group by group over a wide slice
+/// (`b` unused in EvalMode::kP), leaving the outputs the mode does not
+/// compute empty.
+void wide_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
+               int lanes, int k, bool subtract,
+               const std::uint64_t* carry_in, detail::EvalMode mode,
                WideResult& out, Isa isa) {
-  check_wide(ops, k);
-  const int n = ops.width;
-  const int words = ops.words();
+  const int words = lanes / 64;
+  const bool all = mode == detail::EvalMode::kAll;
   out.width = n;
-  out.lanes = ops.lanes;
+  out.lanes = lanes;
   // No zero-fill: the kernel writes every word of every output.
   const auto masks = static_cast<std::size_t>(words);
-  out.sum_spec.resize(all_outputs ? ops.a.size() : 0);
-  out.carry_out_spec.resize(all_outputs ? masks : 0);
-  out.carry_out_exact.resize(all_outputs ? masks : 0);
+  out.sum_spec.resize(all ? static_cast<std::size_t>(n) * masks : 0);
+  out.carry_out_spec.resize(all ? masks : 0);
+  out.carry_out_exact.resize(all ? masks : 0);
   out.flagged.resize(masks);
-  out.wrong.resize(masks);
+  out.wrong.resize(mode == detail::EvalMode::kP ? 0 : masks);
 
   const detail::Kernels* kn = detail::kernels_for(isa, words);
   out.scratch.resize(
@@ -89,11 +99,21 @@ void wide_eval(const WideBatch& ops, int k, bool subtract,
   const detail::EvalOut eo{out.sum_spec.data(), out.carry_out_spec.data(),
                            out.carry_out_exact.data(), out.flagged.data(),
                            out.wrong.data()};
-  const detail::Kernels::Eval eval = all_outputs ? kn->eval : kn->flags;
+  const detail::Kernels::Eval eval = all ? kn->eval
+                                     : mode == detail::EvalMode::kFlags
+                                         ? kn->flags
+                                         : kn->p_flags;
   for (int w0 = 0; w0 < words; w0 += kn->group_words) {
-    eval(ops.a.data(), ops.b.data(), n, words, w0, k, subtract, carry_in,
-         out.scratch.data(), eo);
+    eval(a, b, n, words, w0, k, subtract, carry_in, out.scratch.data(), eo);
   }
+}
+
+void wide_eval(const WideBatch& ops, int k, bool subtract,
+               const std::uint64_t* carry_in, detail::EvalMode mode,
+               WideResult& out, Isa isa) {
+  check_wide(ops, k);
+  wide_eval(ops.a.data(), ops.b.data(), ops.width, ops.lanes, k, subtract,
+            carry_in, mode, out, isa);
 }
 
 }  // namespace
@@ -101,8 +121,8 @@ void wide_eval(const WideBatch& ops, int k, bool subtract,
 void wide_aca_add_into(const WideBatch& ops, int k,
                        const std::uint64_t* carry_in, WideResult& out,
                        Isa isa) {
-  wide_eval(ops, k, /*subtract=*/false, carry_in, /*all_outputs=*/true, out,
-            isa);
+  wide_eval(ops, k, /*subtract=*/false, carry_in, detail::EvalMode::kAll,
+            out, isa);
 }
 
 WideResult wide_aca_add(const WideBatch& ops, int k,
@@ -114,7 +134,7 @@ WideResult wide_aca_add(const WideBatch& ops, int k,
 
 void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
                        Isa isa) {
-  wide_eval(ops, k, /*subtract=*/true, nullptr, /*all_outputs=*/true, out,
+  wide_eval(ops, k, /*subtract=*/true, nullptr, detail::EvalMode::kAll, out,
             isa);
 }
 
@@ -126,18 +146,39 @@ WideResult wide_aca_sub(const WideBatch& ops, int k, Isa isa) {
 
 void wide_aca_flags_into(const WideBatch& ops, int k, bool subtract,
                          WideResult& out, Isa isa) {
-  wide_eval(ops, k, subtract, nullptr, /*all_outputs=*/false, out, isa);
+  wide_eval(ops, k, subtract, nullptr, detail::EvalMode::kFlags, out, isa);
+}
+
+void wide_propagate_flags_into(std::span<const std::uint64_t> p, int width,
+                               int lanes, int k, WideResult& out, Isa isa) {
+  check_slice(p, width, lanes);
+  check_window(k);
+  wide_eval(p.data(), nullptr, width, lanes, k, /*subtract=*/false, nullptr,
+            detail::EvalMode::kP, out, isa);
+}
+
+void wide_propagate_runs_into(std::span<const std::uint64_t> p, int width,
+                              int lanes, std::vector<int>& runs,
+                              std::vector<std::uint64_t>& scratch, Isa isa) {
+  check_slice(p, width, lanes);
+  const int words = lanes / 64;
+  const detail::Kernels* kn = detail::kernels_for(isa, words);
+  runs.resize(static_cast<std::size_t>(lanes));
+  scratch.resize(static_cast<std::size_t>(width) *
+                 static_cast<std::size_t>(kn->group_words));
+  for (int w0 = 0; w0 < words; w0 += kn->group_words) {
+    kn->longest_runs(p.data(), width, words, w0, scratch.data(),
+                     runs.data() + static_cast<std::ptrdiff_t>(w0) * 64);
+  }
 }
 
 std::vector<int> wide_longest_runs(const WideBatch& ops, Isa isa) {
   check_wide(ops, /*k=*/1);
-  const int words = ops.words();
-  std::vector<int> runs(static_cast<std::size_t>(ops.lanes), 0);
-  const detail::Kernels* kn = detail::kernels_for(isa, words);
-  for (int w0 = 0; w0 < words; w0 += kn->group_words) {
-    kn->longest_runs(ops.a.data(), ops.b.data(), ops.width, words, w0,
-                     runs.data() + static_cast<std::ptrdiff_t>(w0) * 64);
-  }
+  std::vector<std::uint64_t> p(ops.a.size());
+  for (std::size_t i = 0; i < p.size(); ++i) p[i] = ops.a[i] ^ ops.b[i];
+  std::vector<int> runs;
+  std::vector<std::uint64_t> scratch;
+  wide_propagate_runs_into(p, ops.width, ops.lanes, runs, scratch, isa);
   return runs;
 }
 
@@ -249,9 +290,24 @@ std::vector<util::BitVec> wide_lane_values(
   return values;
 }
 
+static_assert(LaneRng::kStates == detail::kRngStates);
+
+LaneRng::LaneRng(const util::Rng& parent) {
+  for (int j = 0; j < kStates; ++j) {
+    const auto s = parent.split(static_cast<std::uint64_t>(j)).state();
+    for (int r = 0; r < 4; ++r) state_[r * kStates + j] = s[r];
+  }
+}
+
+void LaneRng::fill(std::span<std::uint64_t> out, Isa isa) {
+  detail::kernels_for(isa, kStates)->fill(state_, out.data(), out.size());
+}
+
 void fill_uniform(util::Rng& rng, WideBatch& batch) {
-  rng.fill(batch.a);
-  rng.fill(batch.b);
+  LaneRng lanes(rng);
+  lanes.fill(batch.a);
+  lanes.fill(batch.b);
+  rng.next_u64();
 }
 
 }  // namespace vlsa::sim

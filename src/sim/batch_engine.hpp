@@ -16,11 +16,13 @@
 // so one batch costs O(n) word operations per 64 lanes at any window
 // instead of a per-bit interpreted loop, which is where batch
 // Monte-Carlo (workloads/batch_monte_carlo.hpp) gets its
-// two-orders-of-magnitude throughput win; it asks for the flags alone
-// (wide_aca_flags_into) and skips every sum store.  Evaluation runs on
-// the widest kernel the requested ISA allows (see sim/isa.hpp): one
-// AVX-512 step advances 512 lanes, AVX2 256, scalar 64, all
-// bit-identical to each other.
+// two-orders-of-magnitude throughput win.  It draws the propagate
+// signal p first (LaneRng), takes the flags from p alone
+// (wide_propagate_flags_into) and runs the flags-only evaluation
+// (wide_aca_flags_into) only on a batch in which some lane flagged,
+// skipping every sum store.  Evaluation runs on the widest kernel the
+// requested ISA allows (see sim/isa.hpp): one AVX-512 step advances
+// 512 lanes, AVX2 256, scalar 64, all bit-identical to each other.
 //
 // The engine is only a valid reproduction instrument because it is
 // bit-exactly equivalent to the scalar specification:
@@ -30,6 +32,7 @@
 // and forces each kernel tier via VLSA_FORCE_ISA.
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -118,9 +121,27 @@ void wide_aca_sub_into(const WideBatch& ops, int k, WideResult& out,
 void wide_aca_flags_into(const WideBatch& ops, int k, bool subtract,
                          WideResult& out, Isa isa = active_isa());
 
+/// The ER flag of ACA(width, k) from the propagate signal alone: `p`
+/// holds p = a ^ b (a ^ ~b for a subtraction) in the wide slice layout,
+/// `width * lanes / 64` words.  Writes `out.flagged`, the mask
+/// wide_aca_flags_into gives for any operands with that p, and leaves
+/// every other output empty.
+void wide_propagate_flags_into(std::span<const std::uint64_t> p, int width,
+                               int lanes, int k, WideResult& out,
+                               Isa isa = active_isa());
+
 /// Per-lane longest propagate chain (`ops.lanes` entries).
 [[nodiscard]] std::vector<int> wide_longest_runs(const WideBatch& ops,
                                                  Isa isa = active_isa());
+
+/// Per-lane longest run of ones in `p` (layout as for
+/// wide_propagate_flags_into), written to `runs` (`lanes` entries).
+/// `scratch` is working memory: a caller that keeps both vectors
+/// allocates nothing per call.
+void wide_propagate_runs_into(std::span<const std::uint64_t> p, int width,
+                              int lanes, std::vector<int>& runs,
+                              std::vector<std::uint64_t>& scratch,
+                              Isa isa = active_isa());
 
 /// Transpose up to `lanes` scalar operand pairs (all of `width`) into a
 /// wide batch; lanes beyond `pairs.size()` are zero.  The bit-matrix
@@ -144,13 +165,35 @@ void wide_aca_flags_into(const WideBatch& ops, int k, bool subtract,
     const std::vector<std::uint64_t>& sliced, int width, int lanes,
     Isa isa = active_isa());
 
-/// Fill a batch with i.i.d. uniform bits.  Drawing each slice word
-/// directly is distribution-identical to transposing `lanes` scalar
+/// Monte-Carlo's operand stream: eight interleaved xoshiro256**
+/// generators, state j a copy of `parent.split(j)`.  fill() writes
+/// word i of its span from state i mod 8, so on every tier the words
+/// equal eight util::Rng generators read round-robin.  Tail rule: a
+/// fill of m words steps every state ceil(m / 8) times, so each fill
+/// starts again at state 0 and a partial last round drops the words
+/// past m.  Successive fills continue each state's sequence.  The
+/// vector tiers step all eight states in registers (kernel_fill in
+/// wide_kernel.hpp).
+class LaneRng {
+ public:
+  static constexpr int kStates = 8;
+
+  explicit LaneRng(const util::Rng& parent);
+
+  void fill(std::span<std::uint64_t> out, Isa isa = active_isa());
+
+ private:
+  /// Word r (s0..s3) of state j at [r * kStates + j].
+  std::uint64_t state_[4 * kStates] = {};
+};
+
+/// Fill a batch with i.i.d. uniform bits: `a`, then `b`, from one
+/// LaneRng(rng), after which `rng` steps once, so successive calls
+/// draw different batches.  Drawing each slice word directly is
+/// distribution-identical to transposing `lanes` scalar
 /// `rng.next_bits(width)` draws (every bit of every lane is an
-/// independent fair coin either way) — this is the fast path of
-/// uniform Monte-Carlo runs.  It is *not* the same stream as the
-/// scalar draws, so scalar and batch runs agree in distribution, not
-/// trial-for-trial.
+/// independent fair coin either way), but it is *not* the same stream,
+/// so scalar and batch runs agree in distribution, not trial-for-trial.
 void fill_uniform(util::Rng& rng, WideBatch& batch);
 
 }  // namespace vlsa::sim

@@ -75,18 +75,16 @@ bool isa_compiled(Isa isa) { return kernels_of(isa) != nullptr; }
 bool isa_supported(Isa isa) { return isa_compiled(isa) && cpu_has(isa); }
 
 Isa best_isa() {
-  // AVX2 ahead of AVX-512, deliberately.  The first reference host
-  // (1 thread) measured the 512-lane tier 3% behind AVX2 end to end.
-  // The sliced kernel now serves batch Monte-Carlo only; on the 4-vCPU
-  // AVX-512 host, with the streaming O(n) kernel, bench/error_rate's
-  // lane-width section (width 1024, k = 23, one thread) reads medians
-  // of 20.1M trials/s at 256 AVX2 lanes and 20.8M at 512 AVX-512 lanes
-  // over six runs each (docs/benchmarks.md).  Switching the default
-  // would change every default Monte-Carlo RNG stream, so it is a
-  // change of its own.  The service does not read the tier.
-  // VLSA_FORCE_ISA=avx512 (active_isa) is the explicit opt-in.
-  if (isa_supported(Isa::Avx2)) return Isa::Avx2;
+  // The widest tier.  Monte-Carlo is the only caller of the sliced
+  // kernel and its generator (the service evaluates its requests
+  // row-major and does not read the tier).  With the generator
+  // vectorized, bench/error_rate at width 1024, k = 23 on one thread
+  // reads the AVX-512 default about 1.15x the AVX2 default; on three
+  // threads (wallbench mc_uniform) the two read level
+  // (docs/benchmarks.md).  Before that, AVX2 was preferred: the tiers
+  // ran level while one serial generator stream dominated a trial.
   if (isa_supported(Isa::Avx512)) return Isa::Avx512;
+  if (isa_supported(Isa::Avx2)) return Isa::Avx2;
   return Isa::Scalar;
 }
 

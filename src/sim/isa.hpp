@@ -5,12 +5,12 @@
 // scalar (always), AVX2 and AVX-512 (when the compiler supports the
 // flags; see src/sim/CMakeLists.txt) — and selected at runtime from a
 // CPUID probe.  The choice is a process-wide constant: `active_isa()`
-// resolves once (`best_isa()`: AVX2 when supported, else AVX-512, else
-// scalar; or the `VLSA_FORCE_ISA` environment override — values
-// `scalar` / `avx2` / `avx512`, case-insensitive) and every caller that
-// doesn't pass an explicit Isa inherits it.  Forcing an ISA the build lacks or the CPU can't run is
-// an error, not a silent fallback — tests rely on the override actually
-// overriding.
+// resolves once (`best_isa()`: the widest supported tier, AVX-512,
+// then AVX2, then scalar; or the `VLSA_FORCE_ISA` environment
+// override — values `scalar` / `avx2` / `avx512`, case-insensitive)
+// and every caller that doesn't pass an explicit Isa inherits it.
+// Forcing an ISA the build lacks or the CPU can't run is an error, not
+// a silent fallback — tests rely on the override actually overriding.
 //
 // A *requested* ISA is still only an upper bound per call: a kernel is
 // usable for a batch only when its lane group divides the batch's lane
@@ -41,13 +41,10 @@ enum class Isa { Scalar = 0, Avx2 = 1, Avx512 = 2 };
 /// AVX-512 requires F+BW+DQ+VL, the flag set the TU is built with).
 [[nodiscard]] bool isa_supported(Isa isa);
 
-/// Preferred supported tier on this machine/build.  NOT simply the
-/// widest: AVX2 is preferred over AVX-512 even when both are supported.
-/// The preference came from a 1-thread host where AVX-512 ran 3% behind;
-/// the 4-vCPU AVX-512 host now reads it level or ahead, within run-to-
-/// run spread (docs/benchmarks.md), and the default lane count is part
-/// of every Monte-Carlo RNG stream, so it stays until a change of its
-/// own.  Set VLSA_FORCE_ISA=avx512 to opt in.
+/// Preferred supported tier on this machine/build: the widest one.
+/// Its lane count is Monte-Carlo's default, so it is part of every
+/// default-lane RNG stream; VLSA_FORCE_ISA=avx2 (or scalar) reproduces
+/// a narrower machine's default.
 [[nodiscard]] Isa best_isa();
 
 /// The process-wide tier: best_isa(), unless VLSA_FORCE_ISA names

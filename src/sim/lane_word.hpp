@@ -14,12 +14,16 @@
 //   static W zero();
 //   static W splat(std::uint64_t);         // same value in every word
 //   W.shl(j), W.shr(j)                     // logical shift per 64-bit word
+//   W.rotl(j)                              // rotate per 64-bit word
 //   W & W, W | W, W ^ W                    // lane-wise boolean algebra
+//   W + W                                  // add per 64-bit word (mod 2^64)
 //
 // The shifts and splat exist for the block transpose (64x64 bit-matrix
 // transpose of kWords independent blocks at once — see
 // wide_kernel.hpp:kernel_transpose64); the boolean ops carry the adder
-// recurrences.
+// recurrences.  The left shift, the rotate and the add also step kWords
+// xoshiro256** generators side by side, one per 64-bit word
+// (wide_kernel.hpp: XoshiroLanes).
 //
 // Three models ship: ScalarWord (uint64_t, 64 lanes, always available),
 // Avx2Word (__m256i, 256 lanes) and Avx512Word (__m512i, 512 lanes).
@@ -28,6 +32,7 @@
 // everything else sees only ScalarWord, so no AVX type ever leaks into
 // code the CPU might run without the feature.
 
+#include <bit>
 #include <cstdint>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
@@ -49,6 +54,7 @@ struct ScalarWord {
   static ScalarWord splat(std::uint64_t x) { return {x}; }
   ScalarWord shl(int j) const { return {v << j}; }
   ScalarWord shr(int j) const { return {v >> j}; }
+  ScalarWord rotl(int j) const { return {std::rotl(v, j)}; }
 
   friend ScalarWord operator&(ScalarWord x, ScalarWord y) {
     return {x.v & y.v};
@@ -58,6 +64,9 @@ struct ScalarWord {
   }
   friend ScalarWord operator^(ScalarWord x, ScalarWord y) {
     return {x.v ^ y.v};
+  }
+  friend ScalarWord operator+(ScalarWord x, ScalarWord y) {
+    return {x.v + y.v};
   }
 };
 
@@ -79,11 +88,20 @@ struct Avx2Word {
   static Avx2Word splat(std::uint64_t x) {
     return {_mm256_set1_epi64x(static_cast<long long>(x))};
   }
+  // GNU vector-extension shifts: a constant count after inlining (the
+  // generator's) becomes the immediate form of vpsllq / vpsrlq.
   Avx2Word shl(int j) const {
-    return {_mm256_sll_epi64(v, _mm_cvtsi32_si128(j))};
+    using V = unsigned long long __attribute__((vector_size(32)));
+    return {(__m256i)((V)v << j)};
   }
   Avx2Word shr(int j) const {
-    return {_mm256_srl_epi64(v, _mm_cvtsi32_si128(j))};
+    using V = unsigned long long __attribute__((vector_size(32)));
+    return {(__m256i)((V)v >> j)};
+  }
+  // AVX2 has no vector rotate: two shifts and an OR.
+  Avx2Word rotl(int j) const {
+    using V = unsigned long long __attribute__((vector_size(32)));
+    return {(__m256i)(((V)v << j) | ((V)v >> (64 - j)))};
   }
 
   friend Avx2Word operator&(Avx2Word x, Avx2Word y) {
@@ -94,6 +112,9 @@ struct Avx2Word {
   }
   friend Avx2Word operator^(Avx2Word x, Avx2Word y) {
     return {_mm256_xor_si256(x.v, y.v)};
+  }
+  friend Avx2Word operator+(Avx2Word x, Avx2Word y) {
+    return {_mm256_add_epi64(x.v, y.v)};
   }
 };
 #endif  // __AVX2__
@@ -115,10 +136,12 @@ struct Avx512Word {
   static Avx512Word splat(std::uint64_t x) {
     return {_mm512_set1_epi64(static_cast<long long>(x))};
   }
-  // GNU vector-extension shifts rather than shift intrinsics: GCC 12
-  // expands every unmasked AVX-512 intrinsic through
-  // _mm512_undefined_epi32, which -Werror=uninitialized rejects when
-  // inlined into user code (the strict preset).  Emits the same vpsllq.
+  // GNU vector-extension shifts, rotate and add rather than intrinsics:
+  // GCC 12 expands every unmasked AVX-512 shift or rotate intrinsic
+  // through _mm512_undefined_epi32, which -Werror=uninitialized rejects
+  // when inlined into user code (the strict preset).  Emits the same
+  // vpsllq; the rotate, written with vector operators throughout (an
+  // intrinsic OR hides the pattern), becomes one vprolq.
   Avx512Word shl(int j) const {
     using V = unsigned long long __attribute__((vector_size(64)));
     return {(__m512i)((V)v << j)};
@@ -126,6 +149,10 @@ struct Avx512Word {
   Avx512Word shr(int j) const {
     using V = unsigned long long __attribute__((vector_size(64)));
     return {(__m512i)((V)v >> j)};
+  }
+  Avx512Word rotl(int j) const {
+    using V = unsigned long long __attribute__((vector_size(64)));
+    return {(__m512i)(((V)v << j) | ((V)v >> (64 - j)))};
   }
 
   friend Avx512Word operator&(Avx512Word x, Avx512Word y) {
@@ -136,6 +163,10 @@ struct Avx512Word {
   }
   friend Avx512Word operator^(Avx512Word x, Avx512Word y) {
     return {_mm512_xor_si512(x.v, y.v)};
+  }
+  friend Avx512Word operator+(Avx512Word x, Avx512Word y) {
+    using V = unsigned long long __attribute__((vector_size(64)));
+    return {(__m512i)((V)x.v + (V)y.v)};
   }
 };
 #endif  // __AVX512F__

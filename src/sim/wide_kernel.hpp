@@ -32,21 +32,36 @@
 // (tests/test_batch_engine.cpp); the identity and this construction of
 // R_k are proved at gate level (tests/test_formal.cpp,
 // Formal.SpeculativeCarryIdentityMatchesBuildAca).
+//
+// The flag reads p alone, so a p-only mode of the same pass takes p
+// through the `a` pointer and skips b, the ripple and `wrong`: batch
+// Monte-Carlo draws p first and runs it on every batch.  The table
+// also carries Monte-Carlo's generator (kernel_fill): eight
+// interleaved xoshiro256** states, stepped one or two LaneWords at a
+// time in registers.
 
 #include <algorithm>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "sim/isa.hpp"
 #include "sim/lane_word.hpp"
 
 namespace vlsa::sim::detail {
 
+/// What one kernel_eval instantiation computes.
+enum class EvalMode {
+  kAll,    ///< every output, from a and b
+  kFlags,  ///< `flagged` and `wrong` only, from a and b
+  kP,      ///< `flagged` only, from p = a ^ b read through `a`
+};
+
 /// Output pointers for one kernel_eval call, all in the wide slice
 /// layout described above (sum_spec is `n * stride` words, mask arrays
 /// are `stride` words; the kernel touches only its group).  The
-/// flags-only instantiation writes just `flagged` and `wrong`.
+/// flags-only mode writes just `flagged` and `wrong`, the p-only mode
+/// just `flagged`.
 struct EvalOut {
   std::uint64_t* sum_spec = nullptr;
   std::uint64_t* carry_out_spec = nullptr;
@@ -66,12 +81,15 @@ inline int eval_scratch_words(int n, int k) { return std::min(k, n + 1) + 1; }
 /// (b is complemented as it is read, the carry in is all ones);
 /// otherwise `carry_in` is a lane-mask base pointer (nullptr = no carry
 /// in).  `suffix` is eval_scratch_words(n, k) * kWords words of working
-/// memory.  kAllOutputs = false writes only out.flagged and out.wrong.
-template <class Word, bool kAllOutputs>
+/// memory.  EvalMode::kP reads the propagate signal itself through `a`
+/// and ignores b, `subtract` and `carry_in`.
+template <class Word, EvalMode kMode>
 void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
                  int stride, int w0, int k, bool subtract,
                  const std::uint64_t* carry_in, std::uint64_t* suffix,
                  const EvalOut& out) {
+  constexpr bool kAllOutputs = kMode == EvalMode::kAll;
+  constexpr bool kCarries = kMode != EvalMode::kP;
   constexpr int G = Word::kWords;
   const Word ones = Word::splat(~std::uint64_t{0});
   const Word flip = subtract ? ones : Word::zero();
@@ -101,17 +119,19 @@ void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
     for (int j = 0; j < len; ++j) {
       const std::size_t at = static_cast<std::size_t>(i0 + j) * stride + w0;
       const Word av = Word::load(a + at);
-      const Word bv = Word::load(b + at) ^ flip;
+      const Word bv = kCarries ? Word::load(b + at) ^ flip : Word::zero();
       const Word p = av ^ bv;
       prefix = prefix & p;
       const Word run = Word::load(suffix + (j + 1) * G) & prefix;
       p.store(suffix + j * G);
-      if constexpr (kAllOutputs) (p ^ cs).store(out.sum_spec + at);
-      ce = (av & bv) | (p & ce);
-      const Word miss = ce & run;
-      if constexpr (kAllOutputs) cs = ce ^ miss;
       flagged = flagged | run;
-      wrong = wrong | miss;
+      if constexpr (kCarries) {
+        if constexpr (kAllOutputs) (p ^ cs).store(out.sum_spec + at);
+        ce = (av & bv) | (p & ce);
+        const Word miss = ce & run;
+        if constexpr (kAllOutputs) cs = ce ^ miss;
+        wrong = wrong | miss;
+      }
     }
     if (len == window) {
       // Block complete: turn its parked p words into S_q[j], the AND
@@ -128,40 +148,135 @@ void kernel_eval(const std::uint64_t* a, const std::uint64_t* b, int n,
     ce.store(out.carry_out_exact + w0);
   }
   flagged.store(out.flagged + w0);
-  wrong.store(out.wrong + w0);
+  if constexpr (kCarries) wrong.store(out.wrong + w0);
 }
 
-/// Per-lane longest propagate chain for one group; `runs` receives
-/// 64 * Word::kWords entries (lane order within the group).  Extend one
-/// bit per round; a lane's longest run is the last t it survived.
+/// Per-lane longest run of ones in the propagate signal `p` (the
+/// longest propagate chain) for one group; `runs` receives
+/// 64 * Word::kWords entries (lane order within the group) and `r` is
+/// n * Word::kWords words of working memory.  Round t holds r[i], the
+/// lanes whose run of ones ending at i is at least t long, and `alive`,
+/// their OR.  A run of t + 1 ends at i iff runs of t end at both i - 1
+/// and i, so one loop per round ANDs each r[i] with r[i - 1] and ORs
+/// the result, without reading p again; a lane's longest run is the
+/// last round it was alive in.
 template <class Word>
-void kernel_longest_runs(const std::uint64_t* a, const std::uint64_t* b,
-                         int n, int stride, int w0, int* runs) {
-  std::vector<Word> p(static_cast<std::size_t>(n));
+void kernel_longest_runs(const std::uint64_t* p, int n, int stride, int w0,
+                         std::uint64_t* r, int* runs) {
+  constexpr int G = Word::kWords;
+  Word alive = Word::zero();
   for (int i = 0; i < n; ++i) {
-    p[i] = Word::load(a + static_cast<std::size_t>(i) * stride + w0) ^
-           Word::load(b + static_cast<std::size_t>(i) * stride + w0);
+    const Word v = Word::load(p + static_cast<std::size_t>(i) * stride + w0);
+    v.store(r + static_cast<std::size_t>(i) * G);
+    alive = alive | v;
   }
-  std::fill(runs, runs + 64 * Word::kWords, 0);
-  std::vector<Word> r = p;  // r[i]: lanes whose run of length t ends at i
-  std::uint64_t alive_words[Word::kWords];
-  for (int t = 1; t <= n; ++t) {
-    Word alive = Word::zero();
-    for (int i = t - 1; i < n; ++i) alive = alive | r[i];
-    alive.store(alive_words);
-    bool any = false;
-    for (int w = 0; w < Word::kWords; ++w) {
-      std::uint64_t m = alive_words[w];
-      any = any || m != 0;
-      while (m != 0) {
-        runs[w * 64 + std::countr_zero(m)] = t;
-        m &= m - 1;
+  std::fill(runs, runs + 64 * G, 0);
+  std::uint64_t words[G];
+  for (int t = 1;; ++t) {
+    // Round t + 1: r[i] for i < t is 0 from here on (a run of t + 1
+    // ends at i >= t), so the loop starts at t.
+    Word next = Word::zero();
+    if (t < n) {
+      Word below = Word::load(r + static_cast<std::size_t>(t - 1) * G);
+      for (int i = t; i < n; ++i) {
+        const Word here = Word::load(r + static_cast<std::size_t>(i) * G);
+        const Word v = below & here;
+        v.store(r + static_cast<std::size_t>(i) * G);
+        next = next | v;
+        below = here;
       }
     }
-    if (!any) break;
-    for (int i = n - 1; i >= 1; --i) r[i] = r[i - 1] & p[i];
-    r[0] = Word::zero();
+    // Lanes alive at t but not at t + 1 have a longest run of t.
+    (alive ^ next).store(words);
+    for (int w = 0; w < G; ++w) {
+      for (std::uint64_t m = words[w]; m != 0; m &= m - 1) {
+        runs[w * 64 + std::countr_zero(m)] = t;
+      }
+    }
+    next.store(words);
+    const auto empty = [](std::uint64_t m) { return m == 0; };
+    if (std::all_of(words, words + G, empty)) return;
+    alive = next;
   }
+}
+
+/// Interleaved xoshiro256** states in one Monte-Carlo generator
+/// (sim::LaneRng): word i of a fill comes from state i mod kRngStates.
+inline constexpr int kRngStates = 8;
+
+/// Word::kWords xoshiro256** states stepped side by side, one per
+/// 64-bit word: util::Rng::next_u64's recurrence, with the products by
+/// 5 and 9 written as shift-adds.  `load` and `store` read the states'
+/// words s0..s3 at a stride of kRngStates (sim::LaneRng's layout).
+template <class Word>
+struct XoshiroLanes {
+  Word s0, s1, s2, s3;
+
+  static XoshiroLanes load(const std::uint64_t* state) {
+    return {Word::load(state), Word::load(state + kRngStates),
+            Word::load(state + 2 * kRngStates),
+            Word::load(state + 3 * kRngStates)};
+  }
+  void store(std::uint64_t* state) const {
+    s0.store(state);
+    s1.store(state + kRngStates);
+    s2.store(state + 2 * kRngStates);
+    s3.store(state + 3 * kRngStates);
+  }
+  Word next() {
+    const Word y = (s1 + s1.shl(2)).rotl(7);  // rotl(s1 * 5, 7)
+    const Word result = y + y.shl(3);         // * 9
+    const Word t = s1.shl(17);
+    s2 = s2 ^ s0;
+    s3 = s3 ^ s1;
+    s1 = s1 ^ s2;
+    s0 = s0 ^ s3;
+    s2 = s2 ^ t;
+    s3 = s3.rotl(45);
+    return result;
+  }
+};
+
+/// Fill out[0, m) from the kRngStates generators in `state` (word r of
+/// state j at state[r * kRngStates + j]): out[i] is draw i / 8 of state
+/// i mod 8.  Every state steps ceil(m / 8) times, so a partial last
+/// round still steps all eight and drops the words past m.  The states
+/// step one bank of Word::kWords at a time, two banks side by side
+/// where there are several, held in named registers for the whole loop
+/// (one bank on AVX-512, two on AVX2, pairs of the eight on scalar).
+template <class Word>
+void kernel_fill(std::uint64_t* state, std::uint64_t* out, std::size_t m) {
+  constexpr int G = Word::kWords;
+  constexpr int kBanks = kRngStates / G;
+  static_assert(kBanks == 1 || kBanks % 2 == 0);
+  if (m == 0) return;
+  const std::size_t rounds = m / kRngStates;
+  const std::size_t rest = m % kRngStates;
+  std::uint64_t tail[kRngStates] = {};
+  for (int bank = 0; bank < kBanks; bank += kBanks == 1 ? 1 : 2) {
+    std::uint64_t* const s = state + bank * G;
+    XoshiroLanes<Word> x = XoshiroLanes<Word>::load(s);
+    if constexpr (kBanks == 1) {
+      for (std::size_t r = 0; r < rounds; ++r) {
+        x.next().store(out + r * kRngStates);
+      }
+      if (rest != 0) x.next().store(tail);
+    } else {
+      XoshiroLanes<Word> y = XoshiroLanes<Word>::load(s + G);
+      for (std::size_t r = 0; r < rounds; ++r) {
+        std::uint64_t* const o = out + r * kRngStates + bank * G;
+        x.next().store(o);
+        y.next().store(o + G);
+      }
+      if (rest != 0) {
+        x.next().store(tail + bank * G);
+        y.next().store(tail + (bank + 1) * G);
+      }
+      y.store(s + G);
+    }
+    x.store(s);
+  }
+  std::copy_n(tail, rest, out + rounds * kRngStates);
 }
 
 /// In-place 64x64 bit-matrix transpose (recursive block swaps, Hacker's
@@ -198,19 +313,25 @@ struct Kernels {
                         const std::uint64_t* carry_in,
                         std::uint64_t* suffix, const EvalOut& out);
   int group_words = 1;
-  Eval eval = nullptr;   ///< every output
-  Eval flags = nullptr;  ///< `flagged` and `wrong` only
-  void (*longest_runs)(const std::uint64_t* a, const std::uint64_t* b, int n,
-                       int stride, int w0, int* runs) = nullptr;
+  Eval eval = nullptr;     ///< every output
+  Eval flags = nullptr;    ///< `flagged` and `wrong` only
+  Eval p_flags = nullptr;  ///< `flagged` only, from p
+  void (*longest_runs)(const std::uint64_t* p, int n, int stride, int w0,
+                       std::uint64_t* r, int* runs) = nullptr;
   void (*transpose64)(std::uint64_t* t) = nullptr;
+  void (*fill)(std::uint64_t* state, std::uint64_t* out,
+               std::size_t m) = nullptr;
 };
 
 template <class Word>
 const Kernels* make_kernels() {
-  static const Kernels table{Word::kWords, &kernel_eval<Word, true>,
-                             &kernel_eval<Word, false>,
+  static const Kernels table{Word::kWords,
+                             &kernel_eval<Word, EvalMode::kAll>,
+                             &kernel_eval<Word, EvalMode::kFlags>,
+                             &kernel_eval<Word, EvalMode::kP>,
                              &kernel_longest_runs<Word>,
-                             &kernel_transpose64<Word>};
+                             &kernel_transpose64<Word>,
+                             &kernel_fill<Word>};
   return &table;
 }
 

@@ -16,20 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
-
-// One xoshiro256** step: returns the output and advances s0..s3.
-std::uint64_t xoshiro_step(std::uint64_t& s0, std::uint64_t& s1,
-                           std::uint64_t& s2, std::uint64_t& s3) {
-  const std::uint64_t result = rotl(s1 * 5, 7) * 9;
-  const std::uint64_t t = s1 << 17;
-  s2 ^= s0;
-  s3 ^= s1;
-  s1 ^= s2;
-  s0 ^= s3;
-  s2 ^= t;
-  s3 = rotl(s3, 45);
-  return result;
-}
 }  // namespace
 
 void Rng::reseed(std::uint64_t seed) {
@@ -39,18 +25,15 @@ void Rng::reseed(std::uint64_t seed) {
 }
 
 std::uint64_t Rng::next_u64() {
-  return xoshiro_step(state_[0], state_[1], state_[2], state_[3]);
-}
-
-void Rng::fill(std::span<std::uint64_t> out) {
-  // The state lives in locals for the whole loop, not in memory.
-  std::uint64_t s0 = state_[0], s1 = state_[1], s2 = state_[2],
-                s3 = state_[3];
-  for (auto& word : out) word = xoshiro_step(s0, s1, s2, s3);
-  state_[0] = s0;
-  state_[1] = s1;
-  state_[2] = s2;
-  state_[3] = s3;
+  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+  const std::uint64_t t = state_[1] << 17;
+  state_[2] ^= state_[0];
+  state_[3] ^= state_[1];
+  state_[1] ^= state_[2];
+  state_[0] ^= state_[3];
+  state_[2] ^= t;
+  state_[3] = rotl(state_[3], 45);
+  return result;
 }
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {

@@ -5,8 +5,8 @@
 // tiny state, and — importantly for reproducibility — its output is fully
 // specified here, independent of the standard library implementation.
 
+#include <array>
 #include <cstdint>
-#include <span>
 
 #include "util/bitvec.hpp"
 
@@ -21,10 +21,6 @@ class Rng {
 
   /// Uniform 64-bit value.
   std::uint64_t next_u64();
-
-  /// Fill `out` with successive next_u64() values — the same sequence
-  /// and the same final state, with the state held in registers.
-  void fill(std::span<std::uint64_t> out);
 
   /// Uniform value in [0, bound); bound must be nonzero.
   std::uint64_t next_below(std::uint64_t bound);
@@ -57,6 +53,13 @@ class Rng {
   /// stream indices therefore land in unrelated regions of seed space,
   /// and a shard's stream depends only on (master seed, shard index).
   Rng split(std::uint64_t stream) const;
+
+  /// The xoshiro256** state s0..s3: next_u64() returns
+  /// rotl(s1 * 5, 7) * 9 and then advances it.  Generators that step
+  /// copies of it elsewhere (sim::LaneRng) start from here.
+  [[nodiscard]] std::array<std::uint64_t, 4> state() const {
+    return {state_[0], state_[1], state_[2], state_[3]};
+  }
 
  private:
   std::uint64_t state_[4] = {};

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "sim/batch_engine.hpp"
@@ -12,10 +15,10 @@ namespace vlsa::workloads {
 
 namespace {
 
-// Shard granularity: 512 batches per shard (512 * lanes trials).
-// Fixed (not derived from the thread count) so the shard -> substream
-// mapping, and with it every tally, is identical at any parallelism.
-constexpr long long kBatchesPerShard = 512;
+// Shard granularity: 2^17 trials, 2^17 / lanes batches.  Fixed (not
+// derived from the thread count) so the shard -> substream mapping, and
+// with it every tally, is identical at any parallelism.
+constexpr long long kShardTrials = 1LL << 17;
 
 }  // namespace
 
@@ -61,38 +64,61 @@ BatchMcResult run_batch_monte_carlo(const BatchMcConfig& config) {
   }
 
   const int lanes = config.lanes == 0 ? sim::active_lanes() : config.lanes;
+  const int width = config.width;
   const long long batches = (config.trials + lanes - 1) / lanes;
+  const long long shard_batches = kShardTrials / lanes;
   const int shards =
-      static_cast<int>((batches + kBatchesPerShard - 1) / kBatchesPerShard);
+      static_cast<int>((batches + shard_batches - 1) / shard_batches);
   const util::Rng master(config.seed);
+  const std::uint64_t flip = config.subtract ? ~std::uint64_t{0} : 0;
 
   std::vector<BatchMcTally> partial(shards);
   const auto t0 = std::chrono::steady_clock::now();
   util::parallel_for_shards(shards, config.threads, [&](int shard) {
-    util::Rng rng = master.split(static_cast<std::uint64_t>(shard));
-    const long long first_batch = shard * kBatchesPerShard;
+    const util::Rng rng = master.split(static_cast<std::uint64_t>(shard));
+    sim::LaneRng p_stream(rng.split(0));
+    sim::LaneRng a_stream(rng.split(1));
+    const long long first_batch = shard * shard_batches;
     const long long n_batches =
-        std::min(kBatchesPerShard, batches - first_batch);
+        std::min(shard_batches, batches - first_batch);
 
     BatchMcTally& tally = partial[shard];
-    if (config.collect_runs) {
-      tally.run_histogram.assign(config.width + 1, 0);
-    }
-    sim::WideBatch batch(config.width, lanes);
-    sim::WideResult result;
+    if (config.collect_runs) tally.run_histogram.assign(width + 1, 0);
+    // Every fill overwrites all of p, so it is not zeroed first; the
+    // operand pair is allocated only once some batch flags.
+    const std::size_t words =
+        static_cast<std::size_t>(width) * static_cast<std::size_t>(lanes / 64);
+    const auto p_buf = std::make_unique_for_overwrite<std::uint64_t[]>(words);
+    const std::span<std::uint64_t> p(p_buf.get(), words);
+    std::optional<sim::WideBatch> batch;
+    sim::WideResult flags, result;
+    std::vector<int> runs;
+    std::vector<std::uint64_t> run_scratch;
     for (long long i = 0; i < n_batches; ++i) {
-      sim::fill_uniform(rng, batch);
-      sim::wide_aca_flags_into(batch, config.window, config.subtract, result);
+      p_stream.fill(p);
+      sim::wide_propagate_flags_into(p, width, lanes, config.window, flags);
+      long long flagged = 0;
+      for (const std::uint64_t m : flags.flagged) flagged += std::popcount(m);
       tally.trials += lanes;
-      for (const std::uint64_t m : result.flagged) {
-        tally.flagged += std::popcount(m);
-      }
-      for (const std::uint64_t m : result.wrong) {
-        tally.wrong += std::popcount(m);
+      tally.flagged += flagged;
+      if (flagged != 0) {
+        // Only a flagged lane can be wrong (docs/theory.md §4), so only
+        // here are the carries needed: draw a and set b so that the
+        // kernel's propagate signal, a ^ b or a ^ ~b, is p.
+        if (!batch) batch.emplace(width, lanes);
+        a_stream.fill(batch->a);
+        for (std::size_t j = 0; j < words; ++j) {
+          batch->b[j] = batch->a[j] ^ p[j] ^ flip;
+        }
+        sim::wide_aca_flags_into(*batch, config.window, config.subtract,
+                                 result);
+        for (const std::uint64_t m : result.wrong) {
+          tally.wrong += std::popcount(m);
+        }
       }
       if (config.collect_runs) {
-        const auto runs = sim::wide_longest_runs(batch);
-        for (int run : runs) tally.run_histogram[run] += 1;
+        sim::wide_propagate_runs_into(p, width, lanes, runs, run_scratch);
+        for (const int run : runs) tally.run_histogram[run] += 1;
       }
     }
   });

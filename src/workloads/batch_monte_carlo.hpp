@@ -1,18 +1,33 @@
 #pragma once
 // Multithreaded Monte-Carlo driver over the bit-sliced batch engine.
 //
-// Trials are split into fixed-size shards; shard s draws all of its
-// operands from the substream `Rng(seed).split(s)` and accumulates a
-// private tally, and the per-shard tallies are reduced in shard order
-// after the pool drains.  Both the shard layout and the substreams
-// depend only on (trials, seed, lanes) — never on the thread count —
-// so the same configuration produces bit-identical tallies on 1, 4, or
-// 13 threads (tests/test_parallel.cpp pins this down).  Threads only
-// change the wall clock.  The lane count (batch width drawn per RNG
-// step) *is* part of the stream: a 256-lane run is distribution-
-// identical but not trial-for-trial identical to a 64-lane run, so pin
-// `lanes` explicitly when a tally must be reproduced across machines
-// with different SIMD tiers.
+// Trials are split into shards of 2^17 (2^17 / lanes batches, rounded
+// down); shard s draws from the substream `Rng(seed).split(s)` and
+// accumulates a private tally, and the per-shard tallies are reduced
+// in shard order after the pool drains.
+//
+// Each batch draws the propagate signal p = a ^ b first, not a and b:
+// for uniform operands (a, b) and (a, p) have the same distribution,
+// and the ER flag and the longest run read p alone (docs/theory.md
+// §4).  p comes from `sim::LaneRng(shard.split(0))`, eight interleaved
+// xoshiro256** states stepped in SIMD registers, and every batch
+// takes `flagged` and the run lengths from it.  Only a batch in which
+// some lane flagged needs the carries, because only a flagged lane
+// can be wrong: it draws `a` from a second stream,
+// `sim::LaneRng(shard.split(1))`, sets b = a ^ p (b = ~(a ^ p) for
+// a - b, whose propagate signal is a ^ ~b) and counts `wrong` with
+// sim::wide_aca_flags_into.  At width 1024, k = 23 about 3% of
+// 512-lane batches go that far.
+//
+// Both the shard layout and the streams depend only on (trials, seed,
+// lanes) — never on the thread count or the ISA tier — so the same
+// configuration produces bit-identical tallies on 1, 4, or 13 threads
+// and under every VLSA_FORCE_ISA (tests/test_parallel.cpp pins this
+// down).  Threads only change the wall clock.  The lane count (batch
+// width drawn per step) *is* part of the stream: a 512-lane run is
+// distribution-identical but not trial-for-trial identical to a
+// 64-lane run, so pin `lanes` explicitly when a tally must be
+// reproduced across machines with different SIMD tiers.
 
 #include <cstdint>
 #include <vector>

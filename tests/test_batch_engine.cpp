@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -579,6 +580,21 @@ TEST(BatchEngineWide, RejectsBadArguments) {
   bad.lanes = 1024;
   EXPECT_THROW(sim::wide_aca_add(bad, 4), std::invalid_argument);
   EXPECT_THROW(sim::wide_lane_values(ops.a, 8, 128), std::invalid_argument);
+  // The p-only entry points check the same shape: window, width, lane
+  // count and slice length.
+  WideResult out;
+  std::vector<int> runs;
+  std::vector<std::uint64_t> scratch;
+  EXPECT_THROW(sim::wide_propagate_flags_into(ops.a, 8, 64, 0, out),
+               std::invalid_argument);
+  EXPECT_THROW(sim::wide_propagate_flags_into({}, 0, 64, 4, out),
+               std::invalid_argument);
+  EXPECT_THROW(sim::wide_propagate_flags_into(ops.a, 8, 96, 4, out),
+               std::invalid_argument);
+  EXPECT_THROW(sim::wide_propagate_flags_into(ops.a, 8, 128, 4, out),
+               std::invalid_argument);
+  EXPECT_THROW(sim::wide_propagate_runs_into(ops.a, 9, 64, runs, scratch),
+               std::invalid_argument);
   EXPECT_THROW(
       sim::wide_transpose_batch(
           std::vector<std::pair<BitVec, BitVec>>(65,
@@ -609,12 +625,23 @@ std::vector<std::pair<int, int>> block_edge_shapes() {
   return out;
 }
 
+/// The propagate signal the kernel reads from a batch: a ^ b, or for
+/// the subtraction a ^ ~b.  Monte-Carlo draws this first and builds b
+/// from it (b = a ^ p, or ~(a ^ p)).
+std::vector<std::uint64_t> propagate_of(const WideBatch& ops, bool subtract) {
+  const std::uint64_t flip = subtract ? ~std::uint64_t{0} : 0;
+  std::vector<std::uint64_t> p(ops.a.size());
+  for (std::size_t i = 0; i < p.size(); ++i) p[i] = ops.a[i] ^ ops.b[i] ^ flip;
+  return p;
+}
+
 TEST(BatchEngineFlags, MatchFullOutputsAndScalarModelAtBlockEdges) {
   // Uniform operands, long runs (b = ~a with one word redrawn), every
   // position propagating for the addition (b = ~a) and every position
   // propagating for the subtraction, whose carry in is all ones
   // (b = a).  Each batch runs through wide_aca_add (with and without an
-  // all-ones carry in), wide_aca_sub and wide_aca_flags_into both ways.
+  // all-ones carry in), wide_aca_sub, wide_aca_flags_into both ways and
+  // the p-only mode (wide_propagate_flags_into) on each way's p.
   Rng rng(0xf1a65);
   for (Isa isa : testable_isas()) {
     const char* label = sim::isa_name(isa);
@@ -635,13 +662,17 @@ TEST(BatchEngineFlags, MatchFullOutputsAndScalarModelAtBlockEdges) {
           }
           if (t == 1) ops.b[rng.next_below(ops.b.size())] = rng.next_u64();
           if (t == 3) ops.b = ops.a;
-          WideResult flags;
+          WideResult flags, from_p;
           sim::wide_aca_flags_into(ops, k, /*subtract=*/false, flags, isa);
           const auto add = sim::wide_aca_add(ops, k, nullptr, isa);
           expect_lanes_match_scalar(ops, none, k, add, label);
           ASSERT_EQ(flags.flagged, add.flagged);
           ASSERT_EQ(flags.wrong, add.wrong);
           ASSERT_TRUE(flags.sum_spec.empty());
+          sim::wide_propagate_flags_into(propagate_of(ops, false), n, lanes, k,
+                                         from_p, isa);
+          ASSERT_EQ(from_p.flagged, flags.flagged);
+          ASSERT_TRUE(from_p.wrong.empty());
           expect_lanes_match_scalar(ops, ones, k,
                                     sim::wide_aca_add(ops, k, ones.data(), isa),
                                     label);
@@ -653,6 +684,9 @@ TEST(BatchEngineFlags, MatchFullOutputsAndScalarModelAtBlockEdges) {
           expect_lanes_match_scalar(negated, ones, k, sub, label);
           ASSERT_EQ(flags.flagged, sub.flagged);
           ASSERT_EQ(flags.wrong, sub.wrong);
+          sim::wide_propagate_flags_into(propagate_of(ops, true), n, lanes, k,
+                                         from_p, isa);
+          ASSERT_EQ(from_p.flagged, flags.flagged);
           if (HasFatalFailure()) return;
           if (t == 3) {
             // a - a: every position propagates the all-ones carry in, so
@@ -691,8 +725,73 @@ TEST(BatchEngineFlags, ReusedResultDropsStaleOutputs) {
   EXPECT_EQ(out.carry_out_exact, fresh.carry_out_exact);
   EXPECT_EQ(out.flagged, fresh.flagged);
   EXPECT_EQ(out.wrong, fresh.wrong);
+  // The p-only mode leaves only `flagged`.
+  sim::wide_propagate_flags_into(propagate_of(narrow, false), 64, 64, 5, out);
+  EXPECT_TRUE(out.sum_spec.empty());
+  EXPECT_TRUE(out.wrong.empty());
+  EXPECT_EQ(out.flagged, fresh.flagged);
   EXPECT_THROW(sim::wide_aca_flags_into(wide, 0, false, out),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Monte-Carlo's generator (sim::LaneRng): eight util::Rng streams read
+// round-robin, the same words on every tier.
+// ---------------------------------------------------------------------------
+
+TEST(LaneRng, FillReadsEightSplitStatesRoundRobinOnEveryTier) {
+  // Word i of a fill is the next draw of state i mod 8, state j being
+  // parent.split(j).  Tail rule: a fill of m words steps every state
+  // ceil(m / 8) times, so the next fill starts again at state 0 and the
+  // words of a partial last round past m are dropped, never written.
+  const Rng parent(0x1a9e5);
+  constexpr std::uint64_t kGuard = 0x6a09e667f3bcc908ULL;
+  for (Isa isa : testable_isas()) {
+    for (const std::size_t m : {0, 1, 7, 8, 9, 333, 8192}) {
+      SCOPED_TRACE(std::string(sim::isa_name(isa)) + " m " +
+                   std::to_string(m));
+      sim::LaneRng lanes(parent);
+      std::vector<Rng> states;
+      for (std::uint64_t j = 0; j < 8; ++j) states.push_back(parent.split(j));
+      // Three fills of m words, then one of 8: each continues the stream
+      // where the tail rule left it.
+      for (const std::size_t size : {m, m, m, std::size_t{8}}) {
+        std::vector<std::uint64_t> buf(size + 8, kGuard);
+        lanes.fill(std::span<std::uint64_t>(buf.data(), size), isa);
+        const std::size_t rounds = (size + 7) / 8;
+        for (std::size_t i = 0; i < rounds * 8; ++i) {
+          const std::uint64_t want = states[i % 8].next_u64();
+          if (i < size) {
+            ASSERT_EQ(buf[i], want) << "word " << i;
+          }
+        }
+        for (std::size_t i = size; i < buf.size(); ++i) {
+          ASSERT_EQ(buf[i], kGuard) << "wrote past the span at " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(LaneRng, FillUniformDrawsAThenBAndMovesOn) {
+  // fill_uniform draws a, then b, from LaneRng(rng) and then steps rng
+  // once, so successive calls on one generator draw different batches.
+  Rng rng(0xb0a7);
+  WideBatch first(100, 512), second(100, 512);
+  Rng copy = rng;
+  sim::fill_uniform(rng, first);
+  sim::LaneRng lanes(copy);
+  std::vector<std::uint64_t> a(first.a.size()), b(first.b.size());
+  lanes.fill(a);
+  lanes.fill(b);
+  EXPECT_EQ(first.a, a);
+  EXPECT_EQ(first.b, b);
+  copy.next_u64();
+  EXPECT_EQ(rng.next_u64(), copy.next_u64());
+  sim::fill_uniform(rng, second);
+  EXPECT_NE(first.a, second.a);
+  EXPECT_NE(first.b, second.b);
+  EXPECT_NE(first.a, first.b);
 }
 
 // ---------------------------------------------------------------------------
@@ -931,6 +1030,11 @@ TEST(BatchEngineIsa, SupportImpliesCompiledAndScalarAlwaysWorks) {
   EXPECT_TRUE(sim::isa_supported(sim::best_isa()));
   EXPECT_TRUE(sim::isa_supported(sim::active_isa()));
   EXPECT_EQ(sim::active_lanes(), sim::isa_lanes(sim::active_isa()));
+}
+
+TEST(BatchEngineIsa, BestIsaIsTheWidestSupportedTier) {
+  const auto tiers = testable_isas();  // narrowest first
+  EXPECT_EQ(sim::best_isa(), tiers.back());
 }
 
 TEST(BatchEngineIsa, ResolvedIsaFallsBackToDividingTier) {

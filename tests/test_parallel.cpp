@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/aca.hpp"
+#include "sim/batch_engine.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "workloads/batch_monte_carlo.hpp"
@@ -67,24 +71,6 @@ TEST(RngSplit, ChildIsNotAPrefixOfTheParentStream) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(RngFill, EqualsSuccessiveNextU64Draws) {
-  // fill() is the bulk form of next_u64(): the same values in the same
-  // order, and the generator ends in the same state.  Sizes include 0,
-  // 1 and odd lengths.
-  for (const std::size_t size : {0, 1, 7, 64, 1000}) {
-    Rng bulk(0x9e37 + size);
-    Rng one(0x9e37 + size);
-    std::vector<std::uint64_t> words(size);
-    bulk.fill(words);
-    for (std::size_t i = 0; i < size; ++i) {
-      ASSERT_EQ(words[i], one.next_u64()) << "size " << size << " i " << i;
-    }
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_EQ(bulk.next_u64(), one.next_u64()) << "size " << size;
-    }
-  }
-}
-
 TEST(ThreadPool, RunsEveryJobExactlyOnce) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -129,7 +115,7 @@ TEST(ParallelForShards, CoversAllShardsOnAnyThreadCount) {
 }
 
 TEST(BatchMonteCarlo, TalliesAreIdenticalAcrossThreadCounts) {
-  // Several shards' worth of work (512 batches/shard) so the schedule
+  // Several shards' worth of work (2^17 trials/shard) so the schedule
   // actually interleaves, small enough to run three times.  Lanes are
   // pinned so the shard count doesn't depend on the machine's SIMD
   // tier (the lane count is part of the stream; the thread count must
@@ -137,13 +123,13 @@ TEST(BatchMonteCarlo, TalliesAreIdenticalAcrossThreadCounts) {
   BatchMcConfig config;
   config.width = 64;
   config.window = 6;
-  config.trials = 200'000;
+  config.trials = 600'000;
   config.seed = 0xabcdef;
   config.threads = 1;
   config.lanes = 64;
   const auto base = run_batch_monte_carlo(config);
   EXPECT_GE(base.tally.trials, config.trials);
-  EXPECT_GT(base.shards, 1);
+  EXPECT_EQ(base.shards, 5);
 
   for (int threads : {4, 13}) {
     config.threads = threads;
@@ -165,13 +151,16 @@ std::uint64_t histogram_digest(const std::vector<long long>& histogram) {
 }
 
 TEST(BatchMonteCarlo, GoldenTalliesAreBitIdentical) {
-  // Tallies recorded from the O(n·k) windowed-ripple kernel, before the
-  // engine evaluated c_spec = c_exact & ~R_k.  Any kernel, RNG-fill or
-  // sharding change must reproduce them exactly, on every ISA tier: the
-  // lane count is pinned, so the operand stream is too.  The grid
-  // covers 64/256/512 lanes, addition and subtraction, and windows
-  // both below and above log2 n (k = 23 at width 1024 is the shipped
-  // service configuration).
+  // Tallies recorded when the driver began drawing p first from eight
+  // interleaved generator states (workloads/batch_monte_carlo.hpp), and
+  // checked then against the full kernel on every batch (the replay
+  // test below), the exact flag and error probabilities (|z| < 2) and
+  // every tier and thread count.  Any kernel, generator or sharding
+  // change must reproduce them exactly, on every ISA tier: the lane
+  // count is pinned, so the stream is too.  The grid covers 64/256/512
+  // lanes, addition and subtraction, and windows both below and above
+  // log2 n (k = 23 at width 1024 is the shipped service configuration).
+  // The two 64-bit cases share a p stream, so they share a digest.
   struct Golden {
     int width, window, lanes;
     bool subtract;
@@ -179,13 +168,13 @@ TEST(BatchMonteCarlo, GoldenTalliesAreBitIdentical) {
     std::uint64_t runs_digest;
   };
   const Golden cases[] = {
-      {333, 6, 512, false, 244790, 191564, 13935205667413737797ULL},
-      {1024, 10, 512, false, 103109, 57738, 10028274539768297141ULL},
-      {256, 8, 256, true, 101784, 57198, 11724384190467342049ULL},
-      {64, 3, 64, false, 260694, 231557, 7197162475169420329ULL},
-      {64, 10, 64, true, 6987, 3670, 7197162475169420329ULL},
-      {1024, 23, 256, false, 7, 4, 13964206040274413927ULL},
-      {100, 12, 512, true, 2948, 1521, 11687787392158002057ULL},
+      {333, 6, 512, false, 244674, 191590, 9355210836630408425ULL},
+      {1024, 10, 512, false, 102576, 57700, 17843386316069101273ULL},
+      {256, 8, 256, true, 102515, 57778, 11728259872698861149ULL},
+      {64, 3, 64, false, 260713, 231651, 9674280156621162011ULL},
+      {64, 10, 64, true, 7182, 3751, 9674280156621162011ULL},
+      {1024, 23, 256, false, 22, 9, 11878173489067364927ULL},
+      {100, 12, 512, true, 2795, 1470, 6498032592301295179ULL},
   };
   for (const Golden& g : cases) {
     BatchMcConfig config;
@@ -205,6 +194,102 @@ TEST(BatchMonteCarlo, GoldenTalliesAreBitIdentical) {
         << "n=" << g.width << " k=" << g.window << " lanes=" << g.lanes;
     EXPECT_EQ(histogram_digest(t.run_histogram), g.runs_digest)
         << "n=" << g.width << " k=" << g.window << " lanes=" << g.lanes;
+  }
+}
+
+/// The driver's tally recomputed from its documented streams
+/// (workloads/batch_monte_carlo.hpp) with no batch skipped: shard s of
+/// 2^17 / lanes batches draws p from LaneRng(Rng(seed).split(s).split(0))
+/// and, on a batch in which some lane has a run of at least k ones in p,
+/// a from LaneRng(Rng(seed).split(s).split(1)).  Every other batch gets
+/// an `a` from an unrelated generator.  Returns (a, b = a ^ p), whose
+/// propagate runs are the runs of p.
+sim::WideBatch replay_batch(sim::LaneRng& p_stream, sim::LaneRng& a_stream,
+                            Rng& unrelated, const BatchMcConfig& config,
+                            bool& drew_a) {
+  sim::WideBatch batch(config.width, config.lanes);
+  std::vector<std::uint64_t> p(batch.a.size());
+  p_stream.fill(p);
+  batch.b = p;  // a = 0 for now: the runs of (0, p) are the runs of p
+  const auto runs = sim::wide_longest_runs(batch);
+  drew_a = std::any_of(runs.begin(), runs.end(),
+                       [&](int run) { return run >= config.window; });
+  if (drew_a) {
+    a_stream.fill(batch.a);
+  } else {
+    for (auto& word : batch.a) word = unrelated.next_u64();
+  }
+  for (std::size_t j = 0; j < p.size(); ++j) batch.b[j] = batch.a[j] ^ p[j];
+  return batch;
+}
+
+TEST(BatchMonteCarlo, ReplayingTheDocumentedStreamsGivesTheTallies) {
+  // Skipping the carries on a batch with no flag is exact: the full
+  // flags-only kernel finds no wrong lane there, and the replayed
+  // tallies, run histogram included, equal the driver's.  64/3 flags
+  // nearly every batch; 1024/23 flags few (two shards at 512 lanes);
+  // one subtraction case.
+  struct Case {
+    int width, window, lanes;
+    bool subtract;
+  };
+  for (const Case c : {Case{64, 3, 64, false}, Case{1024, 23, 512, false},
+                       Case{256, 8, 256, true}}) {
+    BatchMcConfig config;
+    config.width = c.width;
+    config.window = c.window;
+    config.lanes = c.lanes;
+    config.subtract = c.subtract;
+    config.trials = 1 << 18;
+    config.seed = 0x5eed5;
+    config.threads = 2;
+    const auto got = run_batch_monte_carlo(config);
+    ASSERT_EQ(got.shards, 2);
+
+    workloads::BatchMcTally want;
+    want.run_histogram.assign(static_cast<std::size_t>(c.width) + 1, 0);
+    long long drawn = 0;
+    Rng unrelated(0xdead);
+    const Rng master(config.seed);
+    const long long shard_batches = (1LL << 17) / c.lanes;
+    for (int shard = 0; shard < got.shards; ++shard) {
+      const Rng rng = master.split(static_cast<std::uint64_t>(shard));
+      sim::LaneRng p_stream(rng.split(0));
+      sim::LaneRng a_stream(rng.split(1));
+      for (long long i = 0; i < shard_batches; ++i) {
+        bool drew_a = false;
+        const auto batch =
+            replay_batch(p_stream, a_stream, unrelated, config, drew_a);
+        // The full flags-only kernel, on (a, ~(a ^ p)) for a subtraction,
+        // whose propagate signal a ^ ~b is p.
+        sim::WideBatch ops = batch;
+        if (c.subtract) {
+          for (auto& word : ops.b) word = ~word;
+        }
+        sim::WideResult flags;
+        sim::wide_aca_flags_into(ops, c.window, c.subtract, flags);
+        long long flagged = 0, wrong = 0;
+        for (const std::uint64_t m : flags.flagged) flagged += std::popcount(m);
+        for (const std::uint64_t m : flags.wrong) wrong += std::popcount(m);
+        ASSERT_EQ(flagged != 0, drew_a) << "shard " << shard << " batch " << i;
+        ASSERT_TRUE(drew_a || wrong == 0) << "shard " << shard << " batch " << i;
+        want.trials += c.lanes;
+        want.flagged += flagged;
+        want.wrong += wrong;
+        drawn += drew_a ? 1 : 0;
+        for (const int run : sim::wide_longest_runs(batch)) {
+          want.run_histogram[static_cast<std::size_t>(run)] += 1;
+        }
+      }
+    }
+    SCOPED_TRACE("n=" + std::to_string(c.width) + " k=" +
+                 std::to_string(c.window) + " drew a in " +
+                 std::to_string(drawn) + " batches");
+    EXPECT_GT(drawn, 0);
+    EXPECT_EQ(got.tally.trials, want.trials);
+    EXPECT_EQ(got.tally.flagged, want.flagged);
+    EXPECT_EQ(got.tally.wrong, want.wrong);
+    EXPECT_EQ(got.tally.run_histogram, want.run_histogram);
   }
 }
 
